@@ -8,7 +8,7 @@ GO ?= go
 ## multi-store placement, elastic autoscaling
 check:
 	$(GO) build ./...
-	$(GO) vet ./...
+	$(MAKE) vet
 	$(GO) test -race ./...
 	$(MAKE) faultcheck
 	$(MAKE) recoverycheck
@@ -23,8 +23,10 @@ check:
 build:
 	$(GO) build ./...
 
+## vet: go vet plus the gofmt gate (no file may need reformatting)
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l cmd internal examples *.go)"
 
 test:
 	$(GO) test ./...
@@ -128,9 +130,11 @@ scalecheck:
 		-run 'TestAutoscaler|TestAutoscaleChaos|TestRebalanceTickPacing|TestDirectoryConcurrentChurn|TestCLIAutoscale|TestCLISignals|TestAutoscaleBenchGate|TestEmitAutoscaleBench' \
 		./internal/core/ ./internal/netback/ ./cmd/sls/ .
 
-## bench: run the paper-claim benchmarks (also refreshes BENCH_pipeline.json,
-## BENCH_faults.json, BENCH_recovery.json, BENCH_chaos.json,
-## BENCH_space.json, BENCH_fleet.json, BENCH_quorum.json,
-## BENCH_migrate.json, BENCH_placement.json, and BENCH_autoscale.json)
+## bench: run the paper-claim benchmarks and refresh the committed
+## baselines BENCH_pipeline.json, BENCH_faults.json, BENCH_recovery.json,
+## BENCH_chaos.json, BENCH_space.json, BENCH_fleet.json,
+## BENCH_quorum.json, BENCH_migrate.json, BENCH_placement.json, and
+## BENCH_autoscale.json (AURORA_EMIT_BENCH=1; plain `go test` never
+## writes them)
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' .
+	AURORA_EMIT_BENCH=1 $(GO) test -bench=. -benchmem -run '^$$' .

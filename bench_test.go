@@ -339,8 +339,8 @@ func BenchmarkPipelineKVLSM(b *testing.B) {
 	}
 }
 
-// TestEmitPipelineBench writes BENCH_pipeline.json on every plain
-// `go test` run, so the datapoint exists without -bench.
+// TestEmitPipelineBench runs the datapoint behind BENCH_pipeline.json on every
+// plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitPipelineBench(t *testing.T) {
 	r, err := bench.PipelineKVLSM(500, 50)
 	if err != nil {
@@ -373,8 +373,8 @@ func BenchmarkFaultMatrix(b *testing.B) {
 	}
 }
 
-// TestEmitFaultBench writes BENCH_faults.json on every plain `go test`
-// run, so the fault-matrix datapoint exists without -bench.
+// TestEmitFaultBench runs the datapoint behind BENCH_faults.json on every
+// plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitFaultBench(t *testing.T) {
 	pts, err := bench.FaultSweep(100, []float64{0, 0.01, 0.05}, 42)
 	if err != nil {
@@ -406,8 +406,8 @@ func BenchmarkRecoveryMatrix(b *testing.B) {
 	}
 }
 
-// TestEmitRecoveryBench writes BENCH_recovery.json on every plain
-// `go test` run, so the recovery datapoint exists without -bench.
+// TestEmitRecoveryBench runs the datapoint behind BENCH_recovery.json on every
+// plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitRecoveryBench(t *testing.T) {
 	// 0/1/5% transient read-fault rates, plus a dead primary (rate 1):
 	// the first three exercise bounded retry, the last full failover
@@ -473,8 +473,8 @@ func BenchmarkChaosMatrix(b *testing.B) {
 	}
 }
 
-// TestEmitChaosBench writes BENCH_chaos.json on every plain `go test`
-// run, so the chaos-matrix datapoint exists without -bench.
+// TestEmitChaosBench runs the datapoint behind BENCH_chaos.json on every
+// plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitChaosBench(t *testing.T) {
 	var reps []*bench.ChaosReport
 	for _, rate := range []float64{0, 0.01, 0.05} {
@@ -512,8 +512,8 @@ func BenchmarkSpaceMatrix(b *testing.B) {
 	}
 }
 
-// TestEmitSpaceBench writes BENCH_space.json on every plain `go test`
-// run, so the space-matrix datapoint exists without -bench.
+// TestEmitSpaceBench runs the datapoint behind BENCH_space.json on every
+// plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitSpaceBench(t *testing.T) {
 	reps, err := bench.SpaceSweep(120, []int{0, 20, 10, 5}, 42)
 	if err != nil {
@@ -550,11 +550,19 @@ func writeSpaceJSON(reps []*bench.SpaceReport) error {
 		"seed":      42,
 		"points":    rows,
 	}
+	return emitBenchJSON("BENCH_space.json", out)
+}
+
+// emitBenchJSON marshals one BENCH_*.json datapoint and writes it to
+// name only when AURORA_EMIT_BENCH=1, which `make bench` sets. The
+// committed files are reviewed baselines the *BenchGate tests compare
+// against, so a plain `go test` never rewrites them.
+func emitBenchJSON(name string, out any) error {
 	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
+	if err != nil || os.Getenv("AURORA_EMIT_BENCH") != "1" {
 		return err
 	}
-	return os.WriteFile("BENCH_space.json", append(data, '\n'), 0o644)
+	return os.WriteFile(name, append(data, '\n'), 0o644)
 }
 
 func writeChaosJSON(reps []*bench.ChaosReport) error {
@@ -589,11 +597,7 @@ func writeChaosJSON(reps []*bench.ChaosReport) error {
 		"seed":      42,
 		"points":    rows,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_chaos.json", append(data, '\n'), 0o644)
+	return emitBenchJSON("BENCH_chaos.json", out)
 }
 
 func writeRecoveryJSON(pts []bench.RecoveryPoint) error {
@@ -615,11 +619,7 @@ func writeRecoveryJSON(pts []bench.RecoveryPoint) error {
 		"seed":      42,
 		"points":    rows,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_recovery.json", append(data, '\n'), 0o644)
+	return emitBenchJSON("BENCH_recovery.json", out)
 }
 
 func writeFaultJSON(pts []bench.FaultPoint) error {
@@ -641,11 +641,7 @@ func writeFaultJSON(pts []bench.FaultPoint) error {
 		"seed":      42,
 		"points":    rows,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_faults.json", append(data, '\n'), 0o644)
+	return emitBenchJSON("BENCH_faults.json", out)
 }
 
 // BenchmarkFleetStorm measures fleet density: an open-loop checkpoint
@@ -669,8 +665,8 @@ func BenchmarkFleetStorm(b *testing.B) {
 	}
 }
 
-// TestEmitFleetBench writes BENCH_fleet.json on every plain `go test`
-// run, so the fleet-density datapoint exists without -bench.
+// TestEmitFleetBench runs the datapoint behind BENCH_fleet.json on every
+// plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitFleetBench(t *testing.T) {
 	pts, err := bench.FleetStorm([]int{16, 64, 256}, 8, 42)
 	if err != nil {
@@ -703,11 +699,7 @@ func writeFleetJSON(pts []bench.FleetPoint) error {
 		"seed":      42,
 		"points":    rows,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_fleet.json", append(data, '\n'), 0o644)
+	return emitBenchJSON("BENCH_fleet.json", out)
 }
 
 func writePipelineJSON(r *bench.PipelineResult) error {
@@ -722,11 +714,7 @@ func writePipelineJSON(r *bench.PipelineResult) error {
 		"max_full_us":        vus(int64(r.MaxFull)),
 		"peak_queue_depth":   r.PeakQueueDepth,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_pipeline.json", append(data, '\n'), 0o644)
+	return emitBenchJSON("BENCH_pipeline.json", out)
 }
 
 var _ = vm.PageSize // keep the import for documentation cross-reference
@@ -754,8 +742,8 @@ func BenchmarkQuorumMatrix(b *testing.B) {
 	}
 }
 
-// TestEmitQuorumBench writes BENCH_quorum.json on every plain
-// `go test` run, so the quorum datapoint exists without -bench.
+// TestEmitQuorumBench runs the datapoint behind BENCH_quorum.json on every
+// plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitQuorumBench(t *testing.T) {
 	pts, err := bench.QuorumSweep(40, []int{1, 3, 5}, []float64{0, 0.01, 0.05}, 42)
 	if err != nil {
@@ -787,11 +775,7 @@ func writeQuorumJSON(pts []bench.QuorumPoint) error {
 		"seed":      42,
 		"points":    rows,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_quorum.json", append(data, '\n'), 0o644)
+	return emitBenchJSON("BENCH_quorum.json", out)
 }
 
 // --- Live migration matrix ------------------------------------------
@@ -869,8 +853,8 @@ func TestMigrateBenchGate(t *testing.T) {
 	}
 }
 
-// TestEmitMigrateBench writes BENCH_migrate.json on every plain
-// `go test` run, so the migration datapoint exists without -bench.
+// TestEmitMigrateBench runs the datapoint behind BENCH_migrate.json on every
+// plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitMigrateBench(t *testing.T) {
 	pts, err := bench.MigrateSweep(migrateSeeds, migrateRates)
 	if err != nil {
@@ -887,11 +871,7 @@ func writeMigrateJSON(pts []bench.MigratePoint) error {
 		"seeds":     migrateSeeds,
 		"points":    pts,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_migrate.json", append(data, '\n'), 0o644)
+	return emitBenchJSON("BENCH_migrate.json", out)
 }
 
 // --- Multi-store placement matrix ------------------------------------
@@ -969,8 +949,8 @@ func TestPlacementBenchGate(t *testing.T) {
 	}
 }
 
-// TestEmitPlacementBench writes BENCH_placement.json on every plain
-// `go test` run, so the placement datapoint exists without -bench.
+// TestEmitPlacementBench runs the datapoint behind BENCH_placement.json on every
+// plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitPlacementBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("keep the committed full-matrix baseline in -short")
@@ -991,11 +971,7 @@ func writePlacementJSON(pts []bench.PlacementPoint) error {
 		"stores":    placementStores,
 		"points":    pts,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_placement.json", append(data, '\n'), 0o644)
+	return emitBenchJSON("BENCH_placement.json", out)
 }
 
 // --- Elastic autoscale matrix -----------------------------------------
@@ -1077,8 +1053,8 @@ func TestAutoscaleBenchGate(t *testing.T) {
 	}
 }
 
-// TestEmitAutoscaleBench writes BENCH_autoscale.json on every plain
-// `go test` run, so the autoscale datapoint exists without -bench.
+// TestEmitAutoscaleBench runs the datapoint behind BENCH_autoscale.json on every
+// plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitAutoscaleBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("keep the committed full-matrix baseline in -short")
@@ -1099,9 +1075,5 @@ func writeAutoscaleJSON(pts []bench.AutoscalePoint) error {
 		"groups":    autoscaleSweepGroups,
 		"points":    pts,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_autoscale.json", append(data, '\n'), 0o644)
+	return emitBenchJSON("BENCH_autoscale.json", out)
 }

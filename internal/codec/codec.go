@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrCorrupt is returned when a decoder runs off the end of its buffer
@@ -27,6 +28,10 @@ func NewEncoder() *Encoder { return &Encoder{} }
 
 // Bytes returns the accumulated encoding.
 func (e *Encoder) Bytes() []byte { return e.buf }
+
+// Grow reserves room for n more bytes, so an encoder that knows its
+// size up front fills one buffer instead of growing it by doubling.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // Len returns the current encoding size.
 func (e *Encoder) Len() int { return len(e.buf) }
@@ -153,8 +158,20 @@ func (d *Decoder) U8() uint8 {
 // Bool reads a boolean.
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
-// Bytes2 reads a length-prefixed byte slice.
+// Bytes2 reads a length-prefixed byte slice into a fresh copy.
 func (d *Decoder) Bytes2() []byte {
+	v := d.View()
+	if d.err != nil {
+		return nil
+	}
+	return append(make([]byte, 0, len(v)), v...)
+}
+
+// View reads a length-prefixed byte slice like Bytes2 but returns a
+// view of the decoder's buffer instead of a copy. The view aliases the
+// buffer: the caller must not write through it, and must copy out what
+// it keeps beyond the buffer's lifetime.
+func (d *Decoder) View() []byte {
 	n := d.U64()
 	if d.err != nil {
 		return nil
@@ -163,10 +180,9 @@ func (d *Decoder) Bytes2() []byte {
 		d.fail()
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+int(n)])
+	v := d.buf[d.off : d.off+int(n) : d.off+int(n)]
 	d.off += int(n)
-	return out
+	return v
 }
 
 // Str reads a length-prefixed string.

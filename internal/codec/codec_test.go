@@ -167,3 +167,31 @@ func TestQuickGarbageSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestViewAliasesBuffer(t *testing.T) {
+	e := NewEncoder()
+	e.Grow(64)
+	e.Bytes2([]byte("page"))
+	e.Bytes2(nil)
+	buf := e.Bytes()
+	d := NewDecoder(buf)
+	v := d.View()
+	if string(v) != "page" || len(d.View()) != 0 || d.Err() != nil {
+		t.Fatalf("view %q err %v", v, d.Err())
+	}
+	buf[1] = 'P'
+	if string(v) != "Page" {
+		t.Fatalf("view %q does not alias the buffer", v)
+	}
+	c := NewDecoder(buf).Bytes2()
+	c[0] = 'x'
+	if buf[1] != 'P' {
+		t.Fatal("Bytes2 aliases the buffer")
+	}
+	if cap(v) != len(v) {
+		t.Fatalf("view cap %d: appending to it would overwrite the buffer", cap(v))
+	}
+	if d := NewDecoder(buf[:3]); d.View() != nil || d.Err() == nil {
+		t.Fatal("truncated view not detected")
+	}
+}

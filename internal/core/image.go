@@ -7,9 +7,13 @@
 package core
 
 import (
+	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"aurora/internal/codec"
 	"aurora/internal/kernel"
@@ -93,6 +97,11 @@ type Image struct {
 	mu       sync.Mutex
 	released bool
 	sources  []*lazyPageSource // demand-paging sources created by restore
+
+	// hashed is set once, on first use, by pageHashes: the replication
+	// path's content hash of every captured page.
+	hashOnce sync.Once
+	hashed   []hashedObject
 }
 
 // AddBlockPeer registers a peer block provider (another store, a
@@ -297,12 +306,7 @@ func (img *Image) Encode() []byte {
 			e.I64(idx)
 			e.Bytes2(data)
 		}
-		heat := img.ResolveHeat(id)
-		e.U64(uint64(len(heat)))
-		for idx, h := range heat {
-			e.I64(idx)
-			e.U32(h)
-		}
+		encodeHeat(e, img.ResolveHeat(id))
 	}
 	e.U64Slice(img.Roots)
 	return e.Bytes()
@@ -320,50 +324,34 @@ func DecodeImage(payload []byte, pm *vm.PhysMem) (*Image, error) {
 		Full:   true,
 		Memory: make(map[uint64]*MemImage),
 	}
-	nMeta := d.U64()
-	for i := uint64(0); i < nMeta && d.Err() == nil; i++ {
-		img.Meta = append(img.Meta, MetaRec{
-			OID:  d.U64(),
-			Kind: kernel.Kind(d.U64()),
-			Data: d.Bytes2(),
-		})
-	}
-	nObjs := d.U64()
-	for i := uint64(0); i < nObjs && d.Err() == nil; i++ {
-		mi := &MemImage{
-			ObjID: d.U64(),
-			Name:  d.Str(),
-			Size:  d.I64(),
-			Pages: make(map[int64]*vm.Frame),
-		}
-		nPages := d.U64()
-		for j := uint64(0); j < nPages && d.Err() == nil; j++ {
-			idx := d.I64()
-			data := d.Bytes2()
-			f, err := pm.Alloc()
-			if err != nil {
-				img.Release(pm)
-				return nil, err
-			}
-			copy(f.Data, data)
-			mi.Pages[idx] = f
-		}
-		nHeat := d.U64()
-		if nHeat > 0 {
-			mi.Heat = make(map[int64]uint32, nHeat)
-		}
-		for j := uint64(0); j < nHeat && d.Err() == nil; j++ {
-			idx := d.I64()
-			mi.Heat[idx] = d.U32()
-		}
-		img.Memory[mi.ObjID] = mi
-	}
-	img.Roots = d.U64Slice()
-	if err := d.Finish("image"); err != nil {
-		img.Release(pm)
+	if _, err := decodeBody(d, img, pm, "image", false, nil); err != nil {
 		return nil, err
 	}
 	return img, nil
+}
+
+// encodeHeat appends an object's heat snapshot.
+func encodeHeat(e *codec.Encoder, heat map[int64]uint32) {
+	e.U64(uint64(len(heat)))
+	for idx, h := range heat {
+		e.I64(idx)
+		e.U32(h)
+	}
+}
+
+// deltaSizeHint bounds the size of img's delta encoding whose page
+// payloads total pageBytes, so the encoder fills one buffer instead of
+// growing it by doubling.
+func (img *Image) deltaSizeHint(pageBytes int) int {
+	const v = binary.MaxVarintLen64
+	n := 5*v + len(img.Name) + (len(img.Roots)+2)*v + pageBytes
+	for _, m := range img.Meta {
+		n += 3*v + len(m.Data)
+	}
+	for _, mi := range img.Memory {
+		n += 5*v + len(mi.Name) + mi.PageCount()*(2*v+1) + len(mi.Heat)*2*v
+	}
+	return n
 }
 
 // EncodeDelta serializes only this image's own records (not the
@@ -371,6 +359,7 @@ func DecodeImage(payload []byte, pm *vm.PhysMem) (*Image, error) {
 // deltas onto its copy of the chain.
 func (img *Image) EncodeDelta() []byte {
 	e := codec.NewEncoder()
+	e.Grow(img.deltaSizeHint(int(img.FootprintBytes())))
 	e.U64(img.Group)
 	e.U64(img.Epoch)
 	e.U64(img.Gen)
@@ -396,26 +385,48 @@ func (img *Image) EncodeDelta() []byte {
 			e.I64(idx)
 			e.Bytes2(d)
 		}
-		e.U64(uint64(len(mi.Heat)))
-		for idx, h := range mi.Heat {
-			e.I64(idx)
-			e.U32(h)
-		}
+		encodeHeat(e, mi.Heat)
 	}
 	e.U64Slice(img.Roots)
 	return e.Bytes()
 }
 
-// DecodeDelta parses one replication delta. The caller links Prev.
-func DecodeDelta(payload []byte, pm *vm.PhysMem) (*Image, error) {
-	d := codec.NewDecoder(payload)
-	img := &Image{
+// newDeltaImage reads a delta's header into an empty image.
+func newDeltaImage(d *codec.Decoder) *Image {
+	return &Image{
 		Group:  d.U64(),
 		Epoch:  d.U64(),
 		Gen:    d.U64(),
 		Name:   d.Str(),
 		Full:   d.Bool(),
 		Memory: make(map[uint64]*MemImage),
+	}
+}
+
+// DecodeDelta parses one replication delta. The caller links Prev.
+func DecodeDelta(payload []byte, pm *vm.PhysMem) (*Image, error) {
+	d := codec.NewDecoder(payload)
+	img := newDeltaImage(d)
+	if _, err := decodeBody(d, img, pm, "image delta", false, nil); err != nil {
+		return nil, err
+	}
+	return img, nil
+}
+
+// decodeBody reads what follows an encoding's header — metadata
+// records, memory objects, roots — into img, and checks the payload
+// decoded cleanly. Page bytes are read as views of the payload
+// (codec.Decoder.View) and copied straight into fresh frames, so each
+// page is copied once and no view outlives the call. With compact set
+// every page carries a literal/ref tag, and a ref's bytes come from
+// resolve, whose result is likewise only copied into the frame; the
+// hashes of refs resolve could not serve are returned in missing. On
+// error img's frames are released.
+func decodeBody(d *codec.Decoder, img *Image, pm *vm.PhysMem, what string, compact bool,
+	resolve func(objstore.Hash) ([]byte, bool)) (missing []objstore.Hash, err error) {
+	fail := func(err error) ([]objstore.Hash, error) {
+		img.Release(pm)
+		return nil, err
 	}
 	nMeta := d.U64()
 	for i := uint64(0); i < nMeta && d.Err() == nil; i++ {
@@ -424,14 +435,35 @@ func DecodeDelta(payload []byte, pm *vm.PhysMem) (*Image, error) {
 	nObjs := d.U64()
 	for i := uint64(0); i < nObjs && d.Err() == nil; i++ {
 		mi := &MemImage{ObjID: d.U64(), Name: d.Str(), Size: d.I64(), Pages: make(map[int64]*vm.Frame)}
+		img.Memory[mi.ObjID] = mi
 		nPages := d.U64()
 		for j := uint64(0); j < nPages && d.Err() == nil; j++ {
 			idx := d.I64()
-			data := d.Bytes2()
+			var data []byte
+			if compact && d.Bool() { // deltaPageRef
+				raw := d.View()
+				if d.Err() != nil {
+					break
+				}
+				var h objstore.Hash
+				if len(raw) != len(h) {
+					return fail(fmt.Errorf("core: compact delta: bad hash ref length %d", len(raw)))
+				}
+				copy(h[:], raw)
+				var ok bool
+				if resolve != nil {
+					data, ok = resolve(h)
+				}
+				if !ok {
+					missing = append(missing, h)
+					continue
+				}
+			} else {
+				data = d.View()
+			}
 			f, err := pm.Alloc()
 			if err != nil {
-				img.Release(pm)
-				return nil, err
+				return fail(err)
 			}
 			copy(f.Data, data)
 			mi.Pages[idx] = f
@@ -444,14 +476,12 @@ func DecodeDelta(payload []byte, pm *vm.PhysMem) (*Image, error) {
 			idx := d.I64()
 			mi.Heat[idx] = d.U32()
 		}
-		img.Memory[mi.ObjID] = mi
 	}
 	img.Roots = d.U64Slice()
-	if err := d.Finish("image delta"); err != nil {
-		img.Release(pm)
-		return nil, err
+	if err := d.Finish(what); err != nil {
+		return fail(err)
 	}
-	return img, nil
+	return missing, nil
 }
 
 // Compact-delta page tags: a page entry in a compact delta carries
@@ -463,22 +493,108 @@ const (
 	deltaPageRef     byte = 1 // payload is the 32-byte content hash
 )
 
+// pageHashCount counts PageContentHash calls, so tests can check that
+// the replication path hashes each page once.
+var pageHashCount atomic.Int64
+
 // PageContentHash is the content hash compact deltas and the dedup
 // index key pages by.
 func PageContentHash(data []byte) objstore.Hash {
+	pageHashCount.Add(1)
 	return sha256.Sum256(data)
+}
+
+// hashedPage is one captured page with its content hash.
+type hashedPage struct {
+	idx  int64
+	data []byte
+	hash objstore.Hash
+}
+
+// hashedObject is one VM object's captured pages, hashed.
+type hashedObject struct {
+	id    uint64
+	mi    *MemImage
+	pages []hashedPage
+}
+
+// pageHashes returns every captured page of the image with its content
+// hash, in canonical order: objects by ID, then each object's frames
+// and then its swap pages, each by index. The hashes are computed on
+// first use and kept, so every replica link flushing the image and a
+// receiver indexing it share one pass; an image that never replicates
+// never hashes. Captured pages are immutable, so the cache never goes
+// stale.
+func (img *Image) pageHashes() []hashedObject {
+	img.hashOnce.Do(func() {
+		ids := make([]uint64, 0, len(img.Memory))
+		for id := range img.Memory {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		byIdx := func(a, b hashedPage) int { return cmp.Compare(a.idx, b.idx) }
+		objs := make([]hashedObject, len(ids))
+		for i, id := range ids {
+			mi := img.Memory[id]
+			pages := make([]hashedPage, 0, len(mi.Pages)+len(mi.SwapData))
+			for idx, f := range mi.Pages {
+				pages = append(pages, hashedPage{idx: idx, data: f.Data})
+			}
+			frames := len(pages)
+			for idx, d := range mi.SwapData {
+				pages = append(pages, hashedPage{idx: idx, data: d})
+			}
+			slices.SortFunc(pages[:frames], byIdx)
+			slices.SortFunc(pages[frames:], byIdx)
+			for j := range pages {
+				pages[j].hash = PageContentHash(pages[j].data)
+			}
+			objs[i] = hashedObject{id: id, mi: mi, pages: pages}
+		}
+		img.hashed = objs
+	})
+	return img.hashed
+}
+
+// EachPageHash calls fn with the content hash and bytes of every
+// captured page, in canonical order. Each page is hashed at most once
+// per image, however often this is called. The bytes are the image's
+// own: fn must not modify them.
+func (img *Image) EachPageHash(fn func(h objstore.Hash, data []byte)) {
+	for _, o := range img.pageHashes() {
+		for _, p := range o.pages {
+			fn(p.hash, p.data)
+		}
+	}
 }
 
 // EncodeDeltaCompact serializes one replication delta like EncodeDelta
 // but replaces every page whose content hash `skip` claims the
-// receiver holds with a 34-byte hash reference. It returns the
-// payload, the content hash of every page in the image (in encoding
-// order — the sender caches these as receiver-held once the epoch is
-// acked), and how many pages were elided. The claim is an
-// optimization, never a correctness input: a receiver missing a
-// referenced block answers with a resend request for the full delta.
-func (img *Image) EncodeDeltaCompact(skip func(objstore.Hash) bool) (payload []byte, hashes []objstore.Hash, skipped int) {
+// receiver holds with a 34-byte hash reference. Pages go out in the
+// image's canonical order with the image's cached hashes (see
+// pageHashes), so N links encoding one image hash it once. It returns
+// the payload, the number of pages encoded and how many of them were
+// elided; the sender caches the image's hashes (EachPageHash) as
+// receiver-held once the epoch is acked. The claim is an optimization,
+// never a correctness input: a receiver missing a referenced block
+// answers with a resend request for the full delta.
+func (img *Image) EncodeDeltaCompact(skip func(objstore.Hash) bool) (payload []byte, pages, skipped int) {
+	objs := img.pageHashes()
+	var refs []bool
+	pageBytes := 0
+	for _, o := range objs {
+		for _, p := range o.pages {
+			ref := skip != nil && skip(p.hash)
+			refs = append(refs, ref)
+			if ref {
+				pageBytes += len(p.hash)
+			} else {
+				pageBytes += len(p.data)
+			}
+		}
+	}
 	e := codec.NewEncoder()
+	e.Grow(img.deltaSizeHint(pageBytes))
 	e.U64(img.Group)
 	e.U64(img.Epoch)
 	e.U64(img.Gen)
@@ -490,112 +606,42 @@ func (img *Image) EncodeDeltaCompact(skip func(objstore.Hash) bool) (payload []b
 		e.U64(uint64(m.Kind))
 		e.Bytes2(m.Data)
 	}
-	encPage := func(idx int64, data []byte) {
-		e.I64(idx)
-		h := PageContentHash(data)
-		hashes = append(hashes, h)
-		if skip != nil && skip(h) {
-			e.Bool(true) // deltaPageRef
-			e.Bytes2(h[:])
-			skipped++
-			return
+	e.U64(uint64(len(objs)))
+	for _, o := range objs {
+		e.U64(o.id)
+		e.Str(o.mi.Name)
+		e.I64(o.mi.Size)
+		e.U64(uint64(o.mi.PageCount()))
+		for _, p := range o.pages {
+			e.I64(p.idx)
+			if refs[pages] {
+				e.U8(deltaPageRef)
+				e.Bytes2(p.hash[:])
+				skipped++
+			} else {
+				e.U8(deltaPageLiteral)
+				e.Bytes2(p.data)
+			}
+			pages++
 		}
-		e.Bool(false) // deltaPageLiteral
-		e.Bytes2(data)
-	}
-	e.U64(uint64(len(img.Memory)))
-	for id, mi := range img.Memory {
-		e.U64(id)
-		e.Str(mi.Name)
-		e.I64(mi.Size)
-		e.U64(uint64(mi.PageCount()))
-		for idx, f := range mi.Pages {
-			encPage(idx, f.Data)
-		}
-		for idx, d := range mi.SwapData {
-			encPage(idx, d)
-		}
-		e.U64(uint64(len(mi.Heat)))
-		for idx, h := range mi.Heat {
-			e.I64(idx)
-			e.U32(h)
-		}
+		encodeHeat(e, o.mi.Heat)
 	}
 	e.U64Slice(img.Roots)
-	return e.Bytes(), hashes, skipped
+	return e.Bytes(), pages, skipped
 }
 
 // DecodeDeltaCompact parses one compact replication delta, resolving
-// hash references through `resolve` (the receiver's materialized block
-// index, typically backed by its chains and local object store). Refs
-// that fail to resolve are collected in missing; when missing is
-// non-empty the image is incomplete — the caller must Release it and
-// request a full resend — but Group/Epoch are valid for addressing the
-// request.
+// hash references through `resolve` (the receiver's block index,
+// typically backed by its chains and local object store). resolve may
+// return a view of bytes it holds rather than a copy: the decoder only
+// copies it into a fresh frame before its next call. Refs that fail to
+// resolve are collected in missing; when missing is non-empty the
+// image is incomplete — the caller must Release it and request a full
+// resend — but Group/Epoch are valid for addressing the request.
 func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Hash) ([]byte, bool)) (img *Image, missing []objstore.Hash, err error) {
 	d := codec.NewDecoder(payload)
-	img = &Image{
-		Group:  d.U64(),
-		Epoch:  d.U64(),
-		Gen:    d.U64(),
-		Name:   d.Str(),
-		Full:   d.Bool(),
-		Memory: make(map[uint64]*MemImage),
-	}
-	nMeta := d.U64()
-	for i := uint64(0); i < nMeta && d.Err() == nil; i++ {
-		img.Meta = append(img.Meta, MetaRec{OID: d.U64(), Kind: kernel.Kind(d.U64()), Data: d.Bytes2()})
-	}
-	nObjs := d.U64()
-	for i := uint64(0); i < nObjs && d.Err() == nil; i++ {
-		mi := &MemImage{ObjID: d.U64(), Name: d.Str(), Size: d.I64(), Pages: make(map[int64]*vm.Frame)}
-		nPages := d.U64()
-		for j := uint64(0); j < nPages && d.Err() == nil; j++ {
-			idx := d.I64()
-			var data []byte
-			if d.Bool() { // deltaPageRef
-				raw := d.Bytes2()
-				if d.Err() != nil {
-					break
-				}
-				if len(raw) != len(objstore.Hash{}) {
-					img.Release(pm)
-					return nil, nil, fmt.Errorf("core: compact delta: bad hash ref length %d", len(raw))
-				}
-				var h objstore.Hash
-				copy(h[:], raw)
-				var ok bool
-				if resolve != nil {
-					data, ok = resolve(h)
-				}
-				if !ok {
-					missing = append(missing, h)
-					continue
-				}
-			} else {
-				data = d.Bytes2()
-			}
-			f, err := pm.Alloc()
-			if err != nil {
-				img.Release(pm)
-				return nil, nil, err
-			}
-			copy(f.Data, data)
-			mi.Pages[idx] = f
-		}
-		nHeat := d.U64()
-		if nHeat > 0 {
-			mi.Heat = make(map[int64]uint32, nHeat)
-		}
-		for j := uint64(0); j < nHeat && d.Err() == nil; j++ {
-			idx := d.I64()
-			mi.Heat[idx] = d.U32()
-		}
-		img.Memory[mi.ObjID] = mi
-	}
-	img.Roots = d.U64Slice()
-	if err := d.Finish("compact image delta"); err != nil {
-		img.Release(pm)
+	img = newDeltaImage(d)
+	if missing, err = decodeBody(d, img, pm, "compact image delta", true, resolve); err != nil {
 		return nil, nil, err
 	}
 	return img, missing, nil

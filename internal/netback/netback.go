@@ -10,7 +10,6 @@
 package netback
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -194,11 +193,15 @@ type Receiver struct {
 	fences map[uint64]uint64        // group -> highest generation witnessed or adopted
 	recvd  int64
 
-	// blockIdx maps content hash -> page bytes across every held
-	// image, rebuilt lazily (see FetchBlock). blockStale flags that
-	// new images arrived since the last build.
-	blockIdx   map[objstore.Hash][]byte
-	blockStale bool
+	// blockIdx maps content hash -> page bytes of exactly the pages of
+	// the current chains. It is kept incrementally: link queues each
+	// appended image in blockNew, indexed at the next lookup. install
+	// and an in-place epoch replacement drop images, so they reset the
+	// index to nil and the next lookup rebuilds it from the chains.
+	// Either way each image's pages are hashed once (its cached content
+	// hashes, core.Image.EachPageHash).
+	blockIdx map[objstore.Hash][]byte
+	blockNew []*core.Image
 
 	// blockSrcs are extra block providers compact-delta materialization
 	// may resolve hash refs from (typically the standby machine's own
@@ -274,7 +277,7 @@ func (r *Receiver) install(img *core.Image) {
 	if img.Gen > r.fences[img.Group] {
 		r.fences[img.Group] = img.Gen
 	}
-	r.blockStale = true
+	r.blockIdx = nil // the old chain's pages are gone
 	r.mu.Unlock()
 }
 
@@ -282,33 +285,34 @@ func (r *Receiver) install(img *core.Image) {
 // images: a replica holds bit-identical page bytes under the same
 // content hashes as any store of the group, so it can heal a primary's
 // rotted block (Scrub) or serve a page during demand-paging failover.
-// The hash index is rebuilt lazily after new frames arrive.
+// It returns a private copy of the bytes.
 func (r *Receiver) FetchBlock(h objstore.Hash) ([]byte, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.blockIdx == nil || r.blockStale {
-		r.blockIdx = make(map[objstore.Hash][]byte)
-		for _, chain := range r.chains {
-			for _, img := range chain {
-				for _, mi := range img.Memory {
-					for idx := range mi.Pages {
-						d := mi.PageData(idx)
-						r.blockIdx[sha256.Sum256(d)] = d
-					}
-					for idx := range mi.SwapData {
-						d := mi.PageData(idx)
-						r.blockIdx[sha256.Sum256(d)] = d
-					}
-				}
-			}
-		}
-		r.blockStale = false
-	}
-	d, ok := r.blockIdx[h]
+	d, ok := r.lookupBlock(h)
 	if !ok {
 		return nil, false
 	}
 	return append([]byte(nil), d...), true
+}
+
+// lookupBlock finds a page of the current chains by content hash,
+// first bringing the index up to date (see blockIdx). The bytes are a
+// view of a held frame, which is never written. Callers hold mu.
+func (r *Receiver) lookupBlock(h objstore.Hash) ([]byte, bool) {
+	if r.blockIdx == nil {
+		r.blockIdx = make(map[objstore.Hash][]byte)
+		r.blockNew = nil
+		for _, chain := range r.chains {
+			r.blockNew = append(r.blockNew, chain...)
+		}
+	}
+	for _, img := range r.blockNew {
+		img.EachPageHash(func(h objstore.Hash, d []byte) { r.blockIdx[h] = d })
+	}
+	r.blockNew = nil
+	d, ok := r.blockIdx[h]
+	return d, ok
 }
 
 // AttachBlockSource registers an extra block provider (the standby's
@@ -329,15 +333,17 @@ func (r *Receiver) NeedsSent() int64 {
 }
 
 // resolveBlock materializes a compact-delta hash ref: first from the
-// receiver's own chains (FetchBlock), then from any attached block
-// source.
+// receiver's own chains, then from any attached block source. A chain
+// hit is a view of a held frame, not a copy; DecodeDeltaCompact copies
+// it into the new image's frame.
 func (r *Receiver) resolveBlock(h objstore.Hash) ([]byte, bool) {
-	if d, ok := r.FetchBlock(h); ok {
+	r.mu.Lock()
+	d, ok := r.lookupBlock(h)
+	srcs := r.blockSrcs // append-only: the elements seen here never change
+	r.mu.Unlock()
+	if ok {
 		return d, true
 	}
-	r.mu.Lock()
-	srcs := append([]objstore.BlockSource(nil), r.blockSrcs...)
-	r.mu.Unlock()
 	for _, s := range srcs {
 		if d, ok := s.FetchBlock(h); ok {
 			return d, true
@@ -367,10 +373,14 @@ func (r *Receiver) link(img *core.Image) {
 		if have.Epoch == img.Epoch {
 			chain[i] = img
 			replaced = true
+			r.blockIdx = nil // the replaced image's pages are gone
 			break
 		}
 	}
 	if !replaced {
+		if r.blockIdx != nil {
+			r.blockNew = append(r.blockNew, img)
+		}
 		chain = append(chain, img)
 		for i := len(chain) - 1; i > 0 && chain[i-1].Epoch > chain[i].Epoch; i-- {
 			chain[i-1], chain[i] = chain[i], chain[i-1]
@@ -390,7 +400,6 @@ func (r *Receiver) link(img *core.Image) {
 	if img.Gen > r.fences[img.Group] {
 		r.fences[img.Group] = img.Gen
 	}
-	r.blockStale = true
 }
 
 // Latest returns the newest image of a group.

@@ -164,10 +164,10 @@ type blockEntry struct {
 // storeCore is the shared index state behind a Store and all of its
 // clock-redirected views: one set of records, blocks, and locks.
 type storeCore struct {
-	mu        sync.Mutex
-	syncMu    sync.Mutex // serializes Sync's write-index/publish protocol
-	nextOff   int64
-	freeList  []int64 // freed block offsets, reusable in place
+	mu       sync.Mutex
+	syncMu   sync.Mutex // serializes Sync's write-index/publish protocol
+	nextOff  int64
+	freeList []int64 // freed block offsets, reusable in place
 	// trimmedFree splits freeList: entries [0:trimmedFree) have been
 	// TRIMmed off the device (non-resident, still reusable), entries
 	// [trimmedFree:) are freed but still resident. Not persisted: a
@@ -177,7 +177,7 @@ type storeCore struct {
 	// generations. Slot parity means generation N overwrites N-2's
 	// superblock header, so once N publishes, N-2's index extent can
 	// never be needed by crash fallback again and is freed.
-	idxHist []extent
+	idxHist   []extent
 	blocks    map[Hash]*blockEntry
 	records   map[RecordKey]*Record
 	manifests map[uint64][]*Manifest // group -> epoch-sorted manifests
