@@ -2,14 +2,17 @@ GO ?= go
 
 .PHONY: check build vet test race bench faultcheck recoverycheck chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
 
-## check: full gate — build, vet, race-enabled tests, seeded fault
+## check: full gate — build, vet, race-enabled tests (the nested
+## perfbench module included: root ./... skips it), seeded fault
 ## matrix, crash-recovery harness, whole-system chaos sweep, space-
 ## pressure survival, fleet scale, quorum replication, live migration,
 ## multi-store placement, elastic autoscaling
 check:
 	$(GO) build ./...
+	cd perfbench && $(GO) build ./...
 	$(MAKE) vet
 	$(GO) test -race ./...
+	cd perfbench && $(GO) test -race ./...
 	$(MAKE) faultcheck
 	$(MAKE) recoverycheck
 	$(MAKE) chaoscheck
@@ -23,10 +26,12 @@ check:
 build:
 	$(GO) build ./...
 
-## vet: go vet plus the gofmt gate (no file may need reformatting)
+## vet: go vet plus the gofmt gate (no file may need reformatting),
+## over the root module and the nested perfbench module
 vet:
 	$(GO) vet ./...
-	test -z "$$(gofmt -l cmd internal examples *.go)"
+	cd perfbench && $(GO) vet ./...
+	test -z "$$(gofmt -l cmd internal examples perfbench *.go)"
 
 test:
 	$(GO) test ./...

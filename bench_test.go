@@ -24,12 +24,29 @@ import (
 
 	"aurora/internal/bench"
 	"aurora/internal/core"
-	"aurora/internal/vm"
 )
 
 const benchWS = 64 << 20 // scaled working set (paper: 2 GiB)
 
 func vus(d int64) float64 { return float64(d) / 1e3 }
+
+// The matrices behind the committed BENCH_*.json baselines, each shared
+// by its Benchmark* and its TestEmit*. (Chaos, migrate, placement and
+// autoscale define theirs next to their benchmarks.)
+func pipelineRun() (*bench.PipelineResult, error) { return bench.PipelineKVLSM(500, 50) }
+func faultSweep() ([]bench.FaultPoint, error) {
+	return bench.FaultSweep(100, []float64{0, 0.01, 0.05}, 42)
+}
+func recoverySweep() ([]bench.RecoveryPoint, error) {
+	return bench.RecoverySweep(20, []float64{0, 0.01, 0.05, 1}, 42)
+}
+func spaceSweep() ([]*bench.SpaceReport, error) {
+	return bench.SpaceSweep(120, []int{0, 20, 10, 5}, 42)
+}
+func fleetSweep() ([]bench.FleetPoint, error) { return bench.FleetStorm([]int{16, 64, 256}, 8, 42) }
+func quorumSweep() ([]bench.QuorumPoint, error) {
+	return bench.QuorumSweep(40, []int{1, 3, 5}, []float64{0, 0.01, 0.05}, 42)
+}
 
 // BenchmarkTable3_FullCheckpoint regenerates Table 3's "Full" column.
 func BenchmarkTable3_FullCheckpoint(b *testing.B) {
@@ -325,7 +342,7 @@ func BenchmarkAblationExternalConsistency(b *testing.B) {
 func BenchmarkPipelineKVLSM(b *testing.B) {
 	var last *bench.PipelineResult
 	for i := 0; i < b.N; i++ {
-		r, err := bench.PipelineKVLSM(500, 50)
+		r, err := pipelineRun()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -342,7 +359,7 @@ func BenchmarkPipelineKVLSM(b *testing.B) {
 // TestEmitPipelineBench runs the datapoint behind BENCH_pipeline.json on every
 // plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitPipelineBench(t *testing.T) {
-	r, err := bench.PipelineKVLSM(500, 50)
+	r, err := pipelineRun()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +375,7 @@ func TestEmitPipelineBench(t *testing.T) {
 func BenchmarkFaultMatrix(b *testing.B) {
 	var last []bench.FaultPoint
 	for i := 0; i < b.N; i++ {
-		pts, err := bench.FaultSweep(100, []float64{0, 0.01, 0.05}, 42)
+		pts, err := faultSweep()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -376,7 +393,7 @@ func BenchmarkFaultMatrix(b *testing.B) {
 // TestEmitFaultBench runs the datapoint behind BENCH_faults.json on every
 // plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitFaultBench(t *testing.T) {
-	pts, err := bench.FaultSweep(100, []float64{0, 0.01, 0.05}, 42)
+	pts, err := faultSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,13 +403,14 @@ func TestEmitFaultBench(t *testing.T) {
 }
 
 // BenchmarkRecoveryMatrix measures time-to-recover for lazy restores
-// whose primary store read-faults at 0%, 1%, and 5%, demand paging
-// failing over to a clean secondary with read-repair. Recovery must be
-// bit-correct at every rate or the sweep errors.
+// whose primary store read-faults at 0%, 1%, and 5% (bounded retry),
+// or is dead (full failover), demand paging failing over to a clean
+// secondary with read-repair. Recovery must be bit-correct at every
+// rate or the sweep errors.
 func BenchmarkRecoveryMatrix(b *testing.B) {
 	var last []bench.RecoveryPoint
 	for i := 0; i < b.N; i++ {
-		pts, err := bench.RecoverySweep(20, []float64{0, 0.01, 0.05, 1}, 42)
+		pts, err := recoverySweep()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -409,10 +427,7 @@ func BenchmarkRecoveryMatrix(b *testing.B) {
 // TestEmitRecoveryBench runs the datapoint behind BENCH_recovery.json on every
 // plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitRecoveryBench(t *testing.T) {
-	// 0/1/5% transient read-fault rates, plus a dead primary (rate 1):
-	// the first three exercise bounded retry, the last full failover
-	// with read-repair.
-	pts, err := bench.RecoverySweep(20, []float64{0, 0.01, 0.05, 1}, 42)
+	pts, err := recoverySweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +513,7 @@ func TestEmitChaosBench(t *testing.T) {
 func BenchmarkSpaceMatrix(b *testing.B) {
 	var last []*bench.SpaceReport
 	for i := 0; i < b.N; i++ {
-		reps, err := bench.SpaceSweep(120, []int{0, 20, 10, 5}, 42)
+		reps, err := spaceSweep()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -515,7 +530,7 @@ func BenchmarkSpaceMatrix(b *testing.B) {
 // TestEmitSpaceBench runs the datapoint behind BENCH_space.json on every
 // plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitSpaceBench(t *testing.T) {
-	reps, err := bench.SpaceSweep(120, []int{0, 20, 10, 5}, 42)
+	reps, err := spaceSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +665,7 @@ func writeFaultJSON(pts []bench.FaultPoint) error {
 func BenchmarkFleetStorm(b *testing.B) {
 	var last []bench.FleetPoint
 	for i := 0; i < b.N; i++ {
-		pts, err := bench.FleetStorm([]int{16, 64, 256}, 8, 42)
+		pts, err := fleetSweep()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -668,7 +683,7 @@ func BenchmarkFleetStorm(b *testing.B) {
 // TestEmitFleetBench runs the datapoint behind BENCH_fleet.json on every
 // plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitFleetBench(t *testing.T) {
-	pts, err := bench.FleetStorm([]int{16, 64, 256}, 8, 42)
+	pts, err := fleetSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -717,8 +732,6 @@ func writePipelineJSON(r *bench.PipelineResult) error {
 	return emitBenchJSON("BENCH_pipeline.json", out)
 }
 
-var _ = vm.PageSize // keep the import for documentation cross-reference
-
 // --- Quorum replication matrix -------------------------------------
 
 // BenchmarkQuorumMatrix sweeps replica count × link-fault rate under
@@ -727,7 +740,7 @@ var _ = vm.PageSize // keep the import for documentation cross-reference
 func BenchmarkQuorumMatrix(b *testing.B) {
 	var last []bench.QuorumPoint
 	for i := 0; i < b.N; i++ {
-		pts, err := bench.QuorumSweep(40, []int{1, 3, 5}, []float64{0, 0.01, 0.05}, 42)
+		pts, err := quorumSweep()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -745,7 +758,7 @@ func BenchmarkQuorumMatrix(b *testing.B) {
 // TestEmitQuorumBench runs the datapoint behind BENCH_quorum.json on every
 // plain `go test`; emitBenchJSON says when the file is rewritten.
 func TestEmitQuorumBench(t *testing.T) {
-	pts, err := bench.QuorumSweep(40, []int{1, 3, 5}, []float64{0, 0.01, 0.05}, 42)
+	pts, err := quorumSweep()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"aurora/internal/core"
 	"aurora/internal/netback"
-	"aurora/internal/vm"
 )
 
 // This file is the elastic-autoscaling chaos harness (the scale-storm
@@ -157,75 +156,40 @@ type AutoscaleChaosReport struct {
 
 // scaleRun carries the harness state.
 type scaleRun struct {
+	*fleet
 	cfg AutoscaleChaosConfig
 	rep *AutoscaleChaosReport
-
-	tp     *Topology
-	dir    *netback.Directory
-	placer *core.Placer
-	as     *core.Autoscaler
-	nodes  []*core.StoreNode // every store ever built, admitted or not
-	bench  map[*core.StoreNode]*Node
+	as  *core.Autoscaler
 
 	round   int // workload rounds driven (checkpoint cadence)
 	nextApp int // next arrival index
-	retired map[uint64]bool
-
-	counterAt   map[uint64]map[uint64]uint64
-	patternSeed map[uint64]int64
-	lastDurable map[uint64]uint64
 }
 
 // AutoscaleChaosRun executes one scale-storm schedule.
 func AutoscaleChaosRun(cfg AutoscaleChaosConfig) (*AutoscaleChaosReport, error) {
 	cfg = cfg.withDefaults()
 	r := &scaleRun{
-		cfg:         cfg,
-		rep:         &AutoscaleChaosReport{Seed: cfg.Seed, PeakGroups: cfg.PeakGroups},
-		bench:       make(map[*core.StoreNode]*Node),
-		retired:     make(map[uint64]bool),
-		counterAt:   make(map[uint64]map[uint64]uint64),
-		patternSeed: make(map[uint64]int64),
-		lastDurable: make(map[uint64]uint64),
+		fleet: newFleet("autoscale", cfg.Seed, cfg.StepsPerEpoch, netback.LinkFaultConfig{
+			Drop:    cfg.LinkDrop,
+			Dup:     cfg.LinkDup,
+			Reorder: cfg.LinkReorder,
+			Corrupt: cfg.LinkCorrupt,
+		}, core.PlacerConfig{
+			Replicas:        cfg.Replicas,
+			EvacConcurrency: cfg.EvacConcurrency,
+			DownAfter:       5,
+			Retries:         8,
+			PrimaryTarget:   cfg.PrimaryTarget,
+		}),
+		cfg: cfg,
+		rep: &AutoscaleChaosReport{Seed: cfg.Seed, PeakGroups: cfg.PeakGroups},
 	}
-
-	r.tp = NewTopology(netback.LinkFaultConfig{
-		Drop:    cfg.LinkDrop,
-		Dup:     cfg.LinkDup,
-		Reorder: cfg.LinkReorder,
-		Corrupt: cfg.LinkCorrupt,
-	})
-	r.dir = netback.NewDirectory(netback.LinkFaultConfig{
-		Seed:    cfg.Seed,
-		Drop:    cfg.LinkDrop,
-		Dup:     cfg.LinkDup,
-		Reorder: cfg.LinkReorder,
-		Corrupt: cfg.LinkCorrupt,
-	})
-	r.placer = core.NewPlacer(r.dir, core.PlacerConfig{
-		Replicas:        cfg.Replicas,
-		EvacConcurrency: cfg.EvacConcurrency,
-		DownAfter:       5,
-		Retries:         8,
-		PrimaryTarget:   cfg.PrimaryTarget,
-	})
 
 	// Base fleet admitted, spares warm. The pool's first spare is dead
 	// on arrival: its device goes down before the autoscaler ever sees
 	// it, so the first scale-out must skip it.
 	build := func(i int) *core.StoreNode {
-		bn := r.tp.Node(fmt.Sprintf("store%d", i), cfg.Seed*1000003+int64(i)*7919,
-			cfg.StoreWriteErr, cfg.StoreReadErr)
-		sn := &core.StoreNode{
-			Name:   bn.name,
-			Domain: fmt.Sprintf("rack%d", i%2),
-			O:      bn.o,
-			SB:     bn.sb,
-			Sup:    core.NewSupervisor(bn.o, core.SupervisorConfig{}),
-		}
-		r.nodes = append(r.nodes, sn)
-		r.bench[sn] = bn
-		return sn
+		return r.store(i, fmt.Sprintf("rack%d", i%2), cfg.StoreWriteErr, cfg.StoreReadErr)
 	}
 	for i := 0; i < cfg.BaseStores; i++ {
 		if err := r.placer.AddStore(build(i)); err != nil {
@@ -284,12 +248,9 @@ func AutoscaleChaosRun(cfg AutoscaleChaosConfig) (*AutoscaleChaosReport, error) 
 	// live and from a scratch restore; fleet invariants hold; the
 	// autoscaler's own per-tick audit saw nothing.
 	for _, pl := range r.placer.Placements() {
-		if r.retired[pl.Lineage] {
-			continue
-		}
 		pl, ok := r.live(pl.Lineage)
 		if !ok {
-			return nil, fmt.Errorf("bench: autoscale seed %d: lineage lost at end of run", r.cfg.Seed)
+			return nil, r.errorf("lineage lost at end of run")
 		}
 		if err := r.verifyLineage(pl, "final"); err != nil {
 			return nil, err
@@ -303,10 +264,11 @@ func AutoscaleChaosRun(cfg AutoscaleChaosConfig) (*AutoscaleChaosReport, error) 
 		return nil, err
 	}
 	if v := r.as.InvariantViolations(); len(v) != 0 {
-		r.rep.Violations += len(v)
-		return nil, fmt.Errorf("bench: autoscale seed %d: autoscaler audit: %v", r.cfg.Seed, v)
+		r.violations += len(v)
+		return nil, r.errorf("autoscaler audit: %v", v)
 	}
 	r.rep.FinalActive = r.active()
+	r.rep.RestoresVerified, r.rep.Violations = r.verified, r.violations
 	return r.rep, nil
 }
 
@@ -323,9 +285,6 @@ func (r *scaleRun) active() int {
 func (r *scaleRun) liveGroups() int {
 	n := 0
 	for _, pl := range r.placer.Placements() {
-		if r.retired[pl.Lineage] {
-			continue
-		}
 		if _, ok := r.live(pl.Lineage); ok {
 			n++
 		}
@@ -337,28 +296,10 @@ func (r *scaleRun) liveGroups() int {
 // storm can eat a seed checkpoint) is returned for the caller to retry
 // next tick.
 func (r *scaleRun) placeOne() error {
-	name := fmt.Sprintf("app%04d", r.nextApp)
-	pseed := r.cfg.Seed + int64(r.nextApp)
-	pl, err := r.placer.Place(name, func(n *core.StoreNode) (*core.Group, error) {
-		p, err := n.O.K.Spawn(0, name)
-		if err != nil {
-			return nil, err
-		}
-		p.SetProgram(&chaosCounter{addr: p.HeapBase()})
-		for pg := 1; pg <= placePages; pg++ {
-			if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), recoveryPattern(pg, pseed)); err != nil {
-				return nil, err
-			}
-		}
-		return n.O.Persist(name, p)
-	})
-	if err != nil {
+	if err := r.place(r.nextApp); err != nil {
 		return err
 	}
 	r.nextApp++
-	r.patternSeed[pl.Lineage] = pseed
-	r.counterAt[pl.Lineage] = make(map[uint64]uint64)
-	r.lastDurable[pl.Lineage] = 0
 	r.rep.Placed++
 	return nil
 }
@@ -371,9 +312,6 @@ func (r *scaleRun) retireSome(n int) {
 	for ; n > 0; n-- {
 		byStore := make(map[*core.StoreNode][]uint64)
 		for _, pl := range r.placer.Placements() {
-			if r.retired[pl.Lineage] {
-				continue
-			}
 			if pl, ok := r.live(pl.Lineage); ok {
 				byStore[pl.Primary()] = append(byStore[pl.Primary()], pl.Lineage)
 			}
@@ -397,74 +335,22 @@ func (r *scaleRun) retireSome(n int) {
 		if err := r.placer.Unplace(pick); err != nil {
 			return // mid-evacuation churn; retry next tick
 		}
-		r.retired[pick] = true
 		r.rep.Retired++
 	}
 }
 
 // workload drives one open-loop round: resident groups run on every
 // live store, and on the checkpoint cadence (or when forced) every
-// routable lineage checkpoints and syncs durable (with the same
-// shed-retry and durable-monotone discipline as the placement
-// harness).
+// routable lineage checkpoints and syncs durable.
 func (r *scaleRun) workload(force bool) error {
 	r.round++
-	placements := r.placer.Placements()
-	resident := make(map[*core.StoreNode]int)
-	for _, pl := range placements {
-		if r.retired[pl.Lineage] {
-			continue
-		}
-		if pl, ok := r.live(pl.Lineage); ok {
-			resident[pl.Primary()]++
-		}
-	}
-	for sn, count := range resident {
-		if st := sn.State(); st != core.StoreActive && st != core.StoreDraining {
-			continue
-		}
-		if _, err := r.bench[sn].k.Run(count * r.cfg.StepsPerEpoch); err != nil {
-			return fmt.Errorf("bench: autoscale seed %d: workload on %s: %w", r.cfg.Seed, sn.Name, err)
-		}
+	if err := r.run(); err != nil {
+		return err
 	}
 	if r.round%r.cfg.CheckpointEvery != 0 && !force {
 		return nil
 	}
-	for _, pl := range placements {
-		if r.retired[pl.Lineage] {
-			continue
-		}
-		pl, ok := r.live(pl.Lineage)
-		if !ok {
-			continue
-		}
-		c, err := r.readCounter(pl)
-		if err != nil {
-			return err
-		}
-		shed := true
-		for attempt := 0; attempt < 16 && shed; attempt++ {
-			bd, err := pl.Primary().O.Checkpoint(pl.Group(), core.CheckpointOpts{})
-			if err != nil {
-				return fmt.Errorf("bench: autoscale seed %d: checkpointing lineage %d: %w", r.cfg.Seed, pl.Lineage, err)
-			}
-			shed = bd.Shed
-		}
-		if shed {
-			return fmt.Errorf("bench: autoscale seed %d: admission control starved lineage %d", r.cfg.Seed, pl.Lineage)
-		}
-		r.counterAt[pl.Lineage][pl.Group().Epoch()] = c
-		if err := r.placer.SyncDurable(pl.Lineage); err != nil {
-			return fmt.Errorf("bench: autoscale seed %d round %d: %w", r.cfg.Seed, r.round, err)
-		}
-		if d := pl.Group().Durable(); d < r.lastDurable[pl.Lineage] {
-			return fmt.Errorf("bench: autoscale seed %d: lineage %d durable regressed %d -> %d",
-				r.cfg.Seed, pl.Lineage, r.lastDurable[pl.Lineage], d)
-		} else {
-			r.lastDurable[pl.Lineage] = d
-		}
-	}
-	return nil
+	return r.checkpoint()
 }
 
 // tick advances the autoscaler one control round and tallies its
@@ -494,8 +380,8 @@ func (r *scaleRun) rampUp() error {
 	maxTicks := 40*(r.rep.ExpectedPeak-r.cfg.BaseStores) + 8*r.cfg.PeakGroups + 100
 	for t := 1; ; t++ {
 		if t > maxTicks {
-			return fmt.Errorf("bench: autoscale seed %d: ramp-up did not converge (%d active, want >= %d, after %d ticks)",
-				r.cfg.Seed, r.active(), r.rep.ExpectedPeak, maxTicks)
+			return r.errorf("ramp-up did not converge (%d active, want >= %d, after %d ticks)",
+				r.active(), r.rep.ExpectedPeak, maxTicks)
 		}
 		for i := 0; i < r.cfg.ArrivalsPerTick && r.nextApp < r.cfg.PeakGroups; i++ {
 			if err := r.placeOne(); err != nil {
@@ -515,12 +401,12 @@ func (r *scaleRun) rampUp() error {
 		}
 	}
 	if !r.rep.DeadSkipped {
-		return fmt.Errorf("bench: autoscale seed %d: dead warm spare %s was never skipped", r.cfg.Seed, r.rep.DeadSpare)
+		return r.errorf("dead warm spare %s was never skipped", r.rep.DeadSpare)
 	}
 	for _, sn := range r.placer.Stores() {
 		if sn.Name == r.rep.DeadSpare {
-			return fmt.Errorf("bench: autoscale seed %d: dead spare %s was admitted (state %s)",
-				r.cfg.Seed, sn.Name, sn.State())
+			return r.errorf("dead spare %s was admitted (state %s)",
+				sn.Name, sn.State())
 		}
 	}
 	return r.checkInvariants("post-ramp-up")
@@ -536,8 +422,8 @@ func (r *scaleRun) scaleInStorm() error {
 	maxTicks := 8*r.cfg.PeakGroups + 100
 	for t := 1; ; t++ {
 		if t > maxTicks {
-			return fmt.Errorf("bench: autoscale seed %d: scale-in never began (%d groups live, %d active, after %d ticks)",
-				r.cfg.Seed, r.liveGroups(), r.active(), maxTicks)
+			return r.errorf("scale-in never began (%d groups live, %d active, after %d ticks)",
+				r.liveGroups(), r.active(), maxTicks)
 		}
 		if r.liveGroups() > r.cfg.FloorGroups {
 			r.retireSome(r.cfg.RetireesPerTick)
@@ -566,20 +452,15 @@ func (r *scaleRun) scaleInStorm() error {
 	}
 	r.tick()
 	if drainee.State() == core.StoreFenced {
-		return fmt.Errorf("bench: autoscale seed %d: drain of %s completed before the storm could land",
-			r.cfg.Seed, drainee.Name)
+		return r.errorf("drain of %s completed before the storm could land",
+			drainee.Name)
 	}
 
 	// The storm: burst arrivals sized to pigeonhole some store above
 	// the high watermark even when spread perfectly even across the
 	// surviving non-draining stores, then the busiest of those dies.
 	counted := 0
-	resident := make(map[*core.StoreNode]int)
-	for _, pl := range r.placer.Placements() {
-		if pl, ok := r.live(pl.Lineage); ok && !r.retired[pl.Lineage] {
-			resident[pl.Primary()]++
-		}
-	}
+	resident := r.residents()
 	var victim *core.StoreNode
 	for _, sn := range r.placer.Stores() {
 		if sn.State() != core.StoreActive || sn == drainee {
@@ -605,7 +486,7 @@ func (r *scaleRun) scaleInStorm() error {
 	target := r.nextApp + burst
 	for r.nextApp < target {
 		if err := r.placeOne(); err != nil {
-			return fmt.Errorf("bench: autoscale seed %d: burst arrival: %w", r.cfg.Seed, err)
+			return r.errorf("burst arrival: %w", err)
 		}
 	}
 	// One forced checkpoint round before the kill: a just-placed burst
@@ -617,7 +498,7 @@ func (r *scaleRun) scaleInStorm() error {
 	}
 	victimResidents := make([]uint64, 0, resident[victim])
 	for _, pl := range r.placer.Placements() {
-		if pl, ok := r.live(pl.Lineage); ok && !r.retired[pl.Lineage] && pl.Primary() == victim {
+		if pl, ok := r.live(pl.Lineage); ok && pl.Primary() == victim {
 			victimResidents = append(victimResidents, pl.Lineage)
 		}
 	}
@@ -633,27 +514,27 @@ func (r *scaleRun) scaleInStorm() error {
 	for poll := 0; ; poll++ {
 		if poll > maxPolls {
 			evac, repair := r.placer.QueueDepths()
-			return fmt.Errorf("bench: autoscale seed %d: storm did not settle after %d polls (rollback %v, victim %s, evac %d, repair %d, phase %s, active %d)",
-				r.cfg.Seed, maxPolls, sawRollback, victim.State(), evac, repair, r.as.Status().Phase, r.active())
+			return r.errorf("storm did not settle after %d polls (rollback %v, victim %s, evac %d, repair %d, phase %s, active %d)",
+				maxPolls, sawRollback, victim.State(), evac, repair, r.as.Status().Phase, r.active())
 		}
 		dec := r.tick()
 		switch dec.Action {
 		case "scale-in-rollback":
 			sawRollback = true
 			if drainee.State() != core.StoreActive {
-				return fmt.Errorf("bench: autoscale seed %d: rollback left %s in state %s, want active",
-					r.cfg.Seed, drainee.Name, drainee.State())
+				return r.errorf("rollback left %s in state %s, want active",
+					drainee.Name, drainee.State())
 			}
 			for _, sn := range r.placer.Stores() {
 				if sn.State() == core.StoreFenced {
-					return fmt.Errorf("bench: autoscale seed %d: fenced survivor %s after rollback",
-						r.cfg.Seed, sn.Name)
+					return r.errorf("fenced survivor %s after rollback",
+						sn.Name)
 				}
 			}
 		case "scale-in-done":
 			if !sawRollback {
-				return fmt.Errorf("bench: autoscale seed %d: chaos drain of %s completed instead of rolling back",
-					r.cfg.Seed, drainee.Name)
+				return r.errorf("chaos drain of %s completed instead of rolling back",
+					drainee.Name)
 			}
 		}
 		evac, repair := r.placer.QueueDepths()
@@ -668,10 +549,10 @@ func (r *scaleRun) scaleInStorm() error {
 	for _, lin := range victimResidents {
 		pl, ok := r.live(lin)
 		if !ok {
-			return fmt.Errorf("bench: autoscale seed %d: lineage %d not routable after victim evacuation", r.cfg.Seed, lin)
+			return r.errorf("lineage %d not routable after victim evacuation", lin)
 		}
 		if pl.Primary() == victim {
-			return fmt.Errorf("bench: autoscale seed %d: lineage %d still resident on dead %s", r.cfg.Seed, lin, victim.Name)
+			return r.errorf("lineage %d still resident on dead %s", lin, victim.Name)
 		}
 		if err := r.verifyLineage(pl, "post-storm"); err != nil {
 			return err
@@ -688,8 +569,8 @@ func (r *scaleRun) rampDown() error {
 	maxTicks := 60*r.cfg.MaxStores + 8*r.cfg.PeakGroups + 200
 	for t := 1; ; t++ {
 		if t > maxTicks {
-			return fmt.Errorf("bench: autoscale seed %d: ramp-down did not converge (%d active, want %d, after %d ticks)",
-				r.cfg.Seed, r.active(), r.cfg.BaseStores, maxTicks)
+			return r.errorf("ramp-down did not converge (%d active, want %d, after %d ticks)",
+				r.active(), r.cfg.BaseStores, maxTicks)
 		}
 		if r.liveGroups() > r.cfg.FloorGroups {
 			r.retireSome(r.cfg.RetireesPerTick)
@@ -706,8 +587,8 @@ func (r *scaleRun) rampDown() error {
 		}
 	}
 	if got := r.active(); got != r.cfg.BaseStores {
-		return fmt.Errorf("bench: autoscale seed %d: ramp-down settled at %d active stores, want %d",
-			r.cfg.Seed, got, r.cfg.BaseStores)
+		return r.errorf("ramp-down settled at %d active stores, want %d",
+			got, r.cfg.BaseStores)
 	}
 	// Every fenced store must be truly empty: a drain that fences a
 	// store still holding a resident would strand it.
@@ -716,61 +597,13 @@ func (r *scaleRun) rampDown() error {
 			continue
 		}
 		for _, pl := range r.placer.Placements() {
-			if pl, ok := r.live(pl.Lineage); ok && !r.retired[pl.Lineage] && pl.Primary() == sn {
-				return fmt.Errorf("bench: autoscale seed %d: lineage %d stranded on fenced %s",
-					r.cfg.Seed, pl.Lineage, sn.Name)
+			if pl, ok := r.live(pl.Lineage); ok && pl.Primary() == sn {
+				return r.errorf("lineage %d stranded on fenced %s",
+					pl.Lineage, sn.Name)
 			}
 		}
 	}
 	return r.checkInvariants("post-ramp-down")
-}
-
-// live, readCounter, verifyLineage, checkInvariants mirror the
-// placement harness (the assertions are deliberately identical — the
-// autoscaler must not weaken any of them).
-
-func (r *scaleRun) live(lineage uint64) (*core.Placement, bool) {
-	pl, err := r.placer.Lookup(lineage)
-	if err != nil {
-		return nil, false
-	}
-	return pl, true
-}
-
-func (r *scaleRun) readCounter(pl *core.Placement) (uint64, error) {
-	rr := placeRun{cfg: PlacementChaosConfig{Seed: r.cfg.Seed}}
-	return rr.readCounter(pl)
-}
-
-func (r *scaleRun) verifyLineage(pl *core.Placement, where string) error {
-	rr := placeRun{
-		cfg:         PlacementChaosConfig{Seed: r.cfg.Seed},
-		rep:         &PlacementChaosReport{},
-		counterAt:   r.counterAt,
-		patternSeed: r.patternSeed,
-	}
-	if err := rr.verifyLineage(pl, where); err != nil {
-		return fmt.Errorf("autoscale %w", err)
-	}
-	r.rep.RestoresVerified += rr.rep.RestoresVerified
-	return nil
-}
-
-func (r *scaleRun) checkInvariants(where string) error {
-	if v := r.placer.AntiAffinityViolations(); len(v) != 0 {
-		r.rep.Violations += len(v)
-		return fmt.Errorf("bench: autoscale seed %d %s: anti-affinity violated: %v", r.cfg.Seed, where, v)
-	}
-	rr := placeRun{
-		cfg:   PlacementChaosConfig{Seed: r.cfg.Seed},
-		rep:   &PlacementChaosReport{},
-		nodes: r.nodes,
-	}
-	rr.placer = r.placer
-	if err := rr.checkInvariants(where); err != nil {
-		return fmt.Errorf("autoscale %w", err)
-	}
-	return nil
 }
 
 // --- Sweep -----------------------------------------------------------

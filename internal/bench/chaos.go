@@ -1,18 +1,13 @@
 package bench
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"aurora/internal/core"
-	"aurora/internal/kernel"
 	"aurora/internal/netback"
 	"aurora/internal/objstore"
-	"aurora/internal/storage"
-	"aurora/internal/vm"
 )
 
 // This file is the whole-system chaos harness: one seeded scheduler
@@ -35,35 +30,6 @@ import (
 // chaosPages is the patterned working set carried through every crash,
 // restore, and promotion (beyond the counter page).
 const chaosPages = 16
-
-// chaosCounter is the chaos workload: a 64-bit little-endian counter
-// incremented once per kernel step, so hundreds of checkpoints cannot
-// wrap it and every epoch has a distinct, predictable value.
-type chaosCounter struct{ addr vm.Addr }
-
-func (c *chaosCounter) ProgName() string { return "bench-chaos-counter" }
-
-func (c *chaosCounter) Snapshot() []byte {
-	e := kernel.NewEncoder()
-	e.U64(uint64(c.addr))
-	return e.Bytes()
-}
-
-func (c *chaosCounter) Step(k *kernel.Kernel, p *kernel.Process, t *kernel.Thread) error {
-	var b [8]byte
-	if err := p.ReadMem(c.addr, b[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(b[:], binary.LittleEndian.Uint64(b[:])+1)
-	return p.WriteMem(c.addr, b[:])
-}
-
-func init() {
-	kernel.RegisterProgram("bench-chaos-counter", func(k *kernel.Kernel, p *kernel.Process, state []byte) (kernel.Program, error) {
-		d := kernel.NewDecoder(state)
-		return &chaosCounter{addr: vm.Addr(d.U64())}, nil
-	})
-}
 
 // ChaosConfig parameterizes one chaos run. Zero values pick defaults.
 type ChaosConfig struct {
@@ -170,97 +136,35 @@ type chaosRun struct {
 	cfg ChaosConfig
 	rep *ChaosReport
 
-	srcClock *storage.Clock
-	srcK     *kernel.Kernel
-	srcO     *core.Orchestrator
-	sup      *core.Supervisor
-	fd       *storage.FaultDevice
-	srcStore *core.StoreBackend
-
-	dstClock *storage.Clock
-	dstK     *kernel.Kernel
-	dstO     *core.Orchestrator
-	recv     *netback.Receiver
-	dstStore *core.StoreBackend
-
-	link      *netback.FaultLink
-	endA      io.ReadWriteCloser
-	endB      io.ReadWriteCloser
-	rb        *netback.ReplicaBackend
-	serveDone chan error
-	serving   bool
+	src *Node // the primary machine: faulty store, supervisor, replica link
+	sup *core.Supervisor
+	dst *Node // the standby machine: the replica receiver, promoted later
+	w   *Wire // src's replica wire to dst
 
 	g *core.Group // the group currently running on src
 
-	counterAt   map[uint64]uint64 // counter value captured by each epoch
-	durableAt   map[string]uint64 // per-group durable high-water (monotonicity)
-	maxReleased uint64            // highest epoch whose output was ever released
+	counterAt   counterLog    // counter value captured by each epoch
+	srcDurable  durableLedger // per-group durable high-water on src
+	dstDurable  durableLedger // ... and on the promoted dst
+	maxReleased uint64        // highest epoch whose output was ever released
 }
 
-func (c *chaosRun) startServe() {
-	c.serving = true
-	go func() {
-		_, err := c.recv.ServeReplica(c.endB)
-		c.serveDone <- err
-	}()
-}
-
-// resetLink tears the replication connection all the way down and
-// re-establishes it: poison any live serve loop (a partition drop makes
-// it exit), reap it, discard every buffered frame so a stale hello-ack
-// cannot satisfy the next handshake, heal, and re-run the hello
-// handshake — retrying, since probabilistic faults can kill the
-// handshake itself. Every failed Connect implies a drop or corruption
-// that also poisons the serve loop, so reaping between attempts cannot
-// block.
+// resetLink tears the replication connection down and re-handshakes it.
 func (c *chaosRun) resetLink() error {
-	c.link.PartitionBoth()
-	if c.serving {
-		<-c.serveDone
-		c.serving = false
+	if err := c.w.reset(c.g.ID); err != nil {
+		return fmt.Errorf("bench: chaos seed %d: replica link did not recover: %w", c.cfg.Seed, err)
 	}
-	c.rb.Disconnect()
-	c.link.DrainPending()
-	c.link.Heal()
-	var err error
-	for attempt := 0; attempt < 64; attempt++ {
-		if !c.serving {
-			c.startServe()
-		}
-		if _, err = c.rb.Connect(c.endA, c.g.ID); err == nil {
-			return nil
-		}
-		<-c.serveDone
-		c.serving = false
-	}
-	return fmt.Errorf("bench: chaos seed %d: replica link did not recover: %w", c.cfg.Seed, err)
-}
-
-func (c *chaosRun) replicaHealth() (core.BackendHealthInfo, bool) {
-	for _, hi := range c.g.Health() {
-		if hi.Name == "replica" {
-			return hi, true
-		}
-	}
-	return core.BackendHealthInfo{}, false
+	return nil
 }
 
 // syncDurable advances the durable frontier to the group's barrier
-// epoch, retrying store-side failures with fresh fault rolls.
-// Orchestrator.Sync means "durable everywhere" and so also errors on a
-// partitioned replica; this helper cares only that some durable
-// backend holds every epoch — replica catch-up is handled (or
-// deliberately deferred) by the caller.
+// epoch; replica catch-up is handled (or deliberately deferred) by the
+// caller.
 func (c *chaosRun) syncDurable() error {
-	var last error
-	for round := 0; round < 12; round++ {
-		last = c.srcO.Sync(c.g)
-		if c.g.Durable() == c.g.Epoch() {
-			return nil
-		}
+	if err := syncDurable(c.src.o, c.g); err != nil {
+		return fmt.Errorf("bench: chaos seed %d: %w", c.cfg.Seed, err)
 	}
-	return fmt.Errorf("bench: chaos seed %d: durable frontier stuck at %d (barrier %d): %w",
-		c.cfg.Seed, c.g.Durable(), c.g.Epoch(), last)
+	return nil
 }
 
 // heal drives every sick backend of the current group back to healthy:
@@ -279,103 +183,45 @@ func (c *chaosRun) heal() error {
 		if !sick {
 			return nil
 		}
-		if hi, ok := c.replicaHealth(); ok && (hi.State != core.BackendHealthy || hi.Pending > 0) {
+		if hi, ok := c.w.health(c.g); ok && (hi.State != core.BackendHealthy || hi.Pending > 0) {
 			if err := c.resetLink(); err != nil {
 				return err
 			}
 		}
-		_ = c.srcO.Resync(c.g)
-		last = c.srcO.Sync(c.g)
+		_ = c.src.o.Resync(c.g)
+		last = c.src.o.Sync(c.g)
 	}
 	return fmt.Errorf("bench: chaos seed %d: group %d did not heal: %w", c.cfg.Seed, c.g.ID, last)
 }
 
 // invariants re-checks the standing invariants on the source line.
 func (c *chaosRun) invariants(where string) error {
-	key := fmt.Sprintf("src/%d", c.g.ID)
-	d := c.g.Durable()
-	if prev := c.durableAt[key]; d < prev {
-		return fmt.Errorf("bench: chaos %s: durable epoch regressed %d -> %d (group %d)", where, prev, d, c.g.ID)
+	if err := c.srcDurable.observe(c.g.ID, c.g.Durable()); err != nil {
+		return fmt.Errorf("bench: chaos %s: %w", where, err)
 	}
-	c.durableAt[key] = d
-	for c.srcO.Released(c.g.ID, c.maxReleased+1) {
+	for c.src.o.Released(c.g.ID, c.maxReleased+1) {
 		c.maxReleased++
 	}
-	if hi, ok := c.replicaHealth(); ok && hi.State == core.BackendDown {
+	if hi, ok := c.w.health(c.g); ok && hi.State == core.BackendDown {
 		return fmt.Errorf("bench: chaos %s: partitioned replica marked down (must cap at degraded)", where)
 	}
 	return c.checkPrimaries(c.g.ID, where)
 }
 
-// checkPrimaries asserts the fencing invariant: among the stores that
-// claim the primary role for the lineage, exactly one holds the claim
-// at the maximum generation.
+// checkPrimaries asserts the fencing invariant for the lineage across
+// both machines' stores.
 func (c *chaosRun) checkPrimaries(lineage uint64, where string) error {
-	type claim struct {
-		who string
-		gen uint64
-	}
-	var claims []claim
-	var maxGen uint64
-	add := func(who string, sb *core.StoreBackend) {
-		if sb == nil {
-			return
-		}
-		if gen, primary := sb.Store().PrimaryGen(lineage); primary {
-			claims = append(claims, claim{who, gen})
-			if gen > maxGen {
-				maxGen = gen
-			}
-		}
-	}
-	add("src", c.srcStore)
-	add("dst", c.dstStore)
-	if len(claims) == 0 {
-		return fmt.Errorf("bench: chaos %s: no store claims the primary role for lineage %d", where, lineage)
-	}
-	n := 0
-	for _, cl := range claims {
-		if cl.gen == maxGen {
-			n++
-		}
-	}
-	if n != 1 {
-		return fmt.Errorf("bench: chaos %s: %d stores claim primary at generation %d for lineage %d (want exactly 1: %v)",
-			where, n, maxGen, lineage, claims)
+	if err := solePrimary(lineage, c.src, c.dst); err != nil {
+		return fmt.Errorf("bench: chaos %s: %w", where, err)
 	}
 	return nil
 }
 
-// verifyState checks a restored or promoted group bit-for-bit against
-// what was checkpointed at the given epoch: the counter value captured
-// then, and the full patterned working set.
-func (c *chaosRun) verifyState(k *kernel.Kernel, g *core.Group, epoch uint64, where string) error {
-	want, ok := c.counterAt[epoch]
-	if !ok {
-		return fmt.Errorf("bench: chaos %s: no recorded counter for epoch %d", where, epoch)
-	}
-	p, err := k.Process(g.PIDs()[0])
-	if err != nil {
+// verifyState checks a restored or promoted group on m bit-for-bit
+// against what was checkpointed at the given epoch.
+func (c *chaosRun) verifyState(m *Node, g *core.Group, epoch uint64, where string) error {
+	if err := c.counterAt.verify(m.k, g, epoch, chaosPages, c.cfg.Seed); err != nil {
 		return fmt.Errorf("bench: chaos %s: %w", where, err)
-	}
-	var b [8]byte
-	if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-		return fmt.Errorf("bench: chaos %s: reading counter: %w", where, err)
-	}
-	if got := binary.LittleEndian.Uint64(b[:]); got != want {
-		return fmt.Errorf("bench: chaos %s: counter %d at epoch %d, want %d — restore not bit-identical", where, got, epoch, want)
-	}
-	buf := make([]byte, vm.PageSize)
-	for pg := 1; pg <= chaosPages; pg++ {
-		if err := p.ReadMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), buf); err != nil {
-			return fmt.Errorf("bench: chaos %s: paging page %d: %w", where, pg, err)
-		}
-		ref := recoveryPattern(pg, c.cfg.Seed)
-		for i := range buf {
-			if buf[i] != ref[i] {
-				return fmt.Errorf("bench: chaos %s: page %d byte %d differs — restore not bit-identical", where, pg, i)
-			}
-		}
 	}
 	return nil
 }
@@ -393,18 +239,6 @@ func syncStore(st *objstore.Store) error {
 	return err
 }
 
-func (c *chaosRun) readCounter() (uint64, error) {
-	p, err := c.srcK.Process(c.g.PIDs()[0])
-	if err != nil {
-		return 0, err
-	}
-	var b [8]byte
-	if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
 // crash kills every member of the group with a nonzero exit and lets
 // the supervisor restore it, then verifies the restored state
 // bit-identical, re-claims the primary role for the fresh lineage, and
@@ -412,8 +246,8 @@ func (c *chaosRun) readCounter() (uint64, error) {
 // with the automatic full checkpoint).
 func (c *chaosRun) crash() error {
 	for _, pid := range c.g.PIDs() {
-		if p, err := c.srcK.Process(pid); err == nil {
-			c.srcK.Exit(p, 1)
+		if p, err := c.src.k.Process(pid); err == nil {
+			c.src.k.Exit(p, 1)
 		}
 	}
 	c.rep.Crashes++
@@ -443,7 +277,7 @@ func (c *chaosRun) crash() error {
 	if ev == nil {
 		return fmt.Errorf("bench: chaos seed %d: supervisor did not restore group %d: %v", c.cfg.Seed, oldLineage, lastErr)
 	}
-	ng, err := c.srcO.Group(ev.NewGroup)
+	ng, err := c.src.o.Group(ev.NewGroup)
 	if err != nil {
 		return fmt.Errorf("bench: chaos seed %d: restored group: %w", c.cfg.Seed, err)
 	}
@@ -452,53 +286,48 @@ func (c *chaosRun) crash() error {
 	// fault made the self-healing restore quarantine an epoch and fall
 	// back below it, the released suffix is still not lost — releases
 	// gate on replication, so the replica must hold it contiguously.
-	if ng.Epoch() < c.maxReleased+1 && c.recv.ContiguousEpoch(oldLineage) < c.maxReleased+1 {
+	if ng.Epoch() < c.maxReleased+1 && c.w.recv.ContiguousEpoch(oldLineage) < c.maxReleased+1 {
 		return fmt.Errorf("bench: chaos seed %d: restore at epoch %d loses released output (watermark %d, replica floor %d)",
-			c.cfg.Seed, ng.Epoch(), c.maxReleased, c.recv.ContiguousEpoch(oldLineage))
+			c.cfg.Seed, ng.Epoch(), c.maxReleased, c.w.recv.ContiguousEpoch(oldLineage))
 	}
-	if err := c.verifyState(c.srcK, ng, ng.Epoch(), "supervisor restore"); err != nil {
+	if err := c.verifyState(c.src, ng, ng.Epoch(), "supervisor restore"); err != nil {
 		return err
 	}
 	// The restarted primary re-claims its role for the new lineage.
-	if err := c.srcStore.Store().SetPrimary(ng.ID, ng.Generation()); err != nil {
+	if err := c.src.sb.Store().SetPrimary(ng.ID, ng.Generation()); err != nil {
 		return fmt.Errorf("bench: chaos seed %d: reclaiming primary: %w", c.cfg.Seed, err)
 	}
-	if err := syncStore(c.srcStore.Store()); err != nil {
+	if err := syncStore(c.src.sb.Store()); err != nil {
 		return fmt.Errorf("bench: chaos seed %d: persisting primary claim: %w", c.cfg.Seed, err)
 	}
 	c.g = ng
 	c.rep.Restores++
-	c.durableAt[fmt.Sprintf("src/%d", ng.ID)] = ng.Durable()
+	c.srcDurable[ng.ID] = ng.Durable()
 	return c.resetLink()
 }
 
 // epoch runs one workload slice and checkpoints it, recording the
 // counter value the epoch captured. Under space pressure admission
 // control may shed the barrier (no epoch minted, no state captured);
-// the workload keeps running and the next barrier coalesces the slices,
-// so the harness retries until one is admitted — shedding bounds
-// checkpoint frequency, never progress.
+// the workload keeps running and the next barrier coalesces the slices.
 func (c *chaosRun) epoch() (uint64, error) {
-	for attempt := 0; attempt < 16; attempt++ {
-		if _, err := c.srcK.Run(c.cfg.StepsPerEpoch); err != nil {
-			return 0, err
+	var counter uint64
+	slice := func() (err error) {
+		if _, err = c.src.k.Run(c.cfg.StepsPerEpoch); err != nil {
+			return err
 		}
-		counter, err := c.readCounter()
-		if err != nil {
-			return 0, err
-		}
-		bd, err := c.srcO.Checkpoint(c.g, core.CheckpointOpts{})
-		if err != nil {
-			return 0, err
-		}
-		if bd.Shed {
-			continue
-		}
-		ep := c.g.Epoch()
-		c.counterAt[ep] = counter
-		return ep, nil
+		counter, err = readCounter(c.src.k, c.g)
+		return err
 	}
-	return 0, fmt.Errorf("bench: chaos seed %d: admission control starved the checkpoint barrier", c.cfg.Seed)
+	if err := slice(); err != nil {
+		return 0, err
+	}
+	if err := admitCheckpoint(c.src.o, c.g, slice); err != nil {
+		return 0, err
+	}
+	ep := c.g.Epoch()
+	c.counterAt[ep] = counter
+	return ep, nil
 }
 
 // ChaosRun executes one full chaos schedule: steady state with
@@ -508,76 +337,50 @@ func (c *chaosRun) epoch() (uint64, error) {
 // finally the stale primary's return, fencing, and demotion.
 func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 	cfg = cfg.withDefaults()
-	c := &chaosRun{
-		cfg:       cfg,
-		rep:       &ChaosReport{Seed: cfg.Seed},
-		counterAt: make(map[uint64]uint64),
-		durableAt: make(map[string]uint64),
-		serveDone: make(chan error, 1),
-	}
-
-	// Source machine: faulty primary store + replica link.
-	c.srcClock = storage.NewClock()
-	c.srcK = kernel.NewWith(c.srcClock, vm.NewPhysMem(0))
-	c.srcO = core.NewOrchestrator(c.srcK)
-	c.srcO.FlushWorkers = 1 // deterministic fault-schedule ordering
-	c.sup = core.NewSupervisor(c.srcO, core.SupervisorConfig{MaxRestarts: 64})
-	params := storage.ParamsOptaneNVMe
+	var capacity int64
 	if cfg.StoreCapacityEpochs > 0 {
 		first, perEpoch, err := chaosFootprint(cfg.Seed, cfg.StepsPerEpoch)
 		if err != nil {
 			return nil, fmt.Errorf("bench: chaos seed %d: sizing probe: %w", cfg.Seed, err)
 		}
-		params.Capacity = first + perEpoch*int64(cfg.StoreCapacityEpochs)
+		capacity = first + perEpoch*int64(cfg.StoreCapacityEpochs)
 	}
-	c.fd = storage.NewFaultDevice(storage.NewMemDevice(params, c.srcClock), c.srcClock,
-		storage.FaultConfig{Seed: cfg.Seed, WriteErr: cfg.StoreWriteErr, ReadErr: cfg.StoreReadErr})
-	c.srcStore = core.NewStoreBackend(objstore.Create(c.fd, c.srcClock), c.srcK.Mem, c.srcClock)
-	if cfg.StoreCapacityEpochs > 0 {
-		rec := core.NewReclaimer(c.srcO, c.srcStore, core.RetentionPolicy{KeepLast: cfg.KeepLast}, core.Watermarks{})
-		rec.Audit = (*objstore.Store).AuditReachability
-		c.srcStore.SetReclaimer(rec)
-	}
-
-	// Standby machine: the replica receiver, promoted later.
-	c.dstClock = storage.NewClock()
-	c.dstK = kernel.NewWith(c.dstClock, vm.NewPhysMem(0))
-	c.dstO = core.NewOrchestrator(c.dstK)
-	c.dstO.FlushWorkers = 1
-	c.recv = netback.NewReceiver(c.dstK.Mem, c.dstClock)
-
-	c.link = netback.NewFaultLink(netback.LinkFaultConfig{
-		Seed:    cfg.Seed,
+	tp := NewTopology(netback.LinkFaultConfig{
 		Drop:    cfg.LinkDrop,
 		Dup:     cfg.LinkDup,
 		Reorder: cfg.LinkReorder,
 		Corrupt: cfg.LinkCorrupt,
-	}, c.srcClock)
-	c.endA, c.endB = c.link.A(), c.link.B()
-	c.rb = netback.NewReplicaBackend(c.srcClock)
+	})
+	src := NewNode("src", cfg.Seed, cfg.StoreWriteErr, cfg.StoreReadErr, capacity)
+	dst := NewNode("dst", cfg.Seed, 0, 0, 0)
+	c := &chaosRun{
+		cfg:        cfg,
+		rep:        &ChaosReport{Seed: cfg.Seed},
+		src:        src,
+		sup:        core.NewSupervisor(src.o, core.SupervisorConfig{MaxRestarts: 64}),
+		dst:        dst,
+		w:          tp.Wire(cfg.Seed, src, dst),
+		counterAt:  make(counterLog),
+		srcDurable: make(durableLedger),
+		dstDurable: make(durableLedger),
+	}
+	if capacity > 0 {
+		rec := core.NewReclaimer(src.o, src.sb, core.RetentionPolicy{KeepLast: cfg.KeepLast}, core.Watermarks{})
+		rec.Audit = (*objstore.Store).AuditReachability
+		src.sb.SetReclaimer(rec)
+	}
 
-	// Workload: the u64 counter plus a patterned working set.
-	p, err := c.srcK.Spawn(0, "chaos-app")
-	if err != nil {
-		return nil, err
-	}
-	p.SetProgram(&chaosCounter{addr: p.HeapBase()})
-	for pg := 1; pg <= chaosPages; pg++ {
-		if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), recoveryPattern(pg, cfg.Seed)); err != nil {
-			return nil, err
-		}
-	}
-	g, err := c.srcO.Persist("chaos-app", p)
+	g, err := spawnCounter(src.o, "chaos-app", chaosPages, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	c.g = g
-	c.srcO.Attach(g, c.srcStore)
-	c.srcO.Attach(g, c.rb)
-	if err := c.srcStore.Store().SetPrimary(g.ID, g.Generation()); err != nil {
+	src.o.Attach(g, src.sb)
+	src.o.Attach(g, c.w.rb)
+	if err := src.sb.Store().SetPrimary(g.ID, g.Generation()); err != nil {
 		return nil, err
 	}
-	if err := syncStore(c.srcStore.Store()); err != nil {
+	if err := syncStore(src.sb.Store()); err != nil {
 		return nil, err
 	}
 	c.sup.Watch(g)
@@ -587,10 +390,10 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 
 	// Phase 1 — steady state under composed faults.
 	partActive := false
-	t0 := c.srcClock.Now()
+	t0 := c.src.clock.Now()
 	for i := 1; i <= cfg.Checkpoints; i++ {
 		if cfg.PartitionAt > 0 && i == cfg.PartitionAt {
-			c.link.PartitionBoth()
+			c.w.link.PartitionBoth()
 			partActive = true
 		}
 		if _, err := c.epoch(); err != nil {
@@ -602,7 +405,7 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 		if !partActive {
 			// Keep the replica converging between events so the durable
 			// and replication frontiers both advance through the run.
-			if hi, ok := c.replicaHealth(); ok && (hi.State != core.BackendHealthy || hi.Pending > 0) {
+			if hi, ok := c.w.health(c.g); ok && (hi.State != core.BackendHealthy || hi.Pending > 0) {
 				if err := c.heal(); err != nil {
 					return nil, err
 				}
@@ -614,15 +417,15 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 		if partActive && i == cfg.PartitionAt+cfg.PartitionLen {
 			// Heal the transient partition and measure catch-up: the
 			// missed epochs drain and the replica floor rejoins durable.
-			h0 := c.srcClock.Now()
+			h0 := c.src.clock.Now()
 			partActive = false
 			if err := c.heal(); err != nil {
 				return nil, err
 			}
-			if got, want := c.recv.ContiguousEpoch(c.g.ID), c.g.Durable(); got != want {
+			if got, want := c.w.recv.ContiguousEpoch(c.g.ID), c.g.Durable(); got != want {
 				return nil, fmt.Errorf("bench: chaos seed %d: after heal replica floor %d != durable %d", cfg.Seed, got, want)
 			}
-			c.rep.CatchUp = c.srcClock.Now() - h0
+			c.rep.CatchUp = c.src.clock.Now() - h0
 			c.rep.Heals++
 		}
 		if !partActive && cfg.CrashEvery > 0 && i%cfg.CrashEvery == 0 {
@@ -632,7 +435,7 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 		}
 	}
 	c.rep.Checkpoints = cfg.Checkpoints
-	c.rep.PerCheckpoint = (c.srcClock.Now() - t0) / time.Duration(cfg.Checkpoints)
+	c.rep.PerCheckpoint = (c.src.clock.Now() - t0) / time.Duration(cfg.Checkpoints)
 
 	// Quiesce before the disaster so the replica floor equals the
 	// durable line — the promotion must lose exactly the divergent
@@ -652,14 +455,14 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 	lineage := c.g.ID
 	preFloor := c.g.Durable()
-	if got := c.recv.ContiguousEpoch(lineage); got != preFloor {
+	if got := c.w.recv.ContiguousEpoch(lineage); got != preFloor {
 		return nil, fmt.Errorf("bench: chaos seed %d: pre-disaster floor %d != durable %d", cfg.Seed, got, preFloor)
 	}
 
 	// Phase 2 — the permanent partition: the primary keeps running,
 	// minting epochs only its own store ever sees. Releases must stop
 	// at the replication frontier.
-	c.link.PartitionBoth()
+	c.w.link.PartitionBoth()
 	for j := 1; j <= cfg.DivergentEpochs; j++ {
 		ep, err := c.epoch()
 		if err != nil {
@@ -668,7 +471,7 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 		if err := c.syncDurable(); err != nil {
 			return nil, err
 		}
-		if c.srcO.Released(c.g.ID, ep-1) {
+		if c.src.o.Released(c.g.ID, ep-1) {
 			return nil, fmt.Errorf("bench: chaos seed %d: output of divergent epoch %d released past the partition", cfg.Seed, ep-1)
 		}
 		if err := c.invariants(fmt.Sprintf("divergent checkpoint %d", j)); err != nil {
@@ -678,9 +481,8 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 
 	// Phase 3 — the primary is declared permanently dead; the standby
-	// promotes the replica over a fresh store.
-	c.dstStore = core.NewStoreBackend(objstore.Create(storage.NewMemDevice(storage.ParamsOptaneNVMe, c.dstClock), c.dstClock), c.dstK.Mem, c.dstClock)
-	prep, err := c.dstO.Promote(c.recv, lineage, c.dstStore, core.RestoreOpts{})
+	// promotes the replica over its own, so far empty, store.
+	prep, err := dst.o.Promote(c.w.recv, lineage, dst.sb, core.RestoreOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: chaos seed %d: promotion: %w", cfg.Seed, err)
 	}
@@ -692,15 +494,15 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 			cfg.Seed, prep.Floor, c.maxReleased)
 	}
 	pg := prep.Group
-	if err := c.verifyState(c.dstK, pg, prep.Floor, "promotion"); err != nil {
+	if err := c.verifyState(c.dst, pg, prep.Floor, "promotion"); err != nil {
 		return nil, err
 	}
 	// The promoted group continues as a fresh lineage on dst: claim the
 	// primary role for it too.
-	if err := c.dstStore.Store().SetPrimary(pg.ID, prep.Gen); err != nil {
+	if err := c.dst.sb.Store().SetPrimary(pg.ID, prep.Gen); err != nil {
 		return nil, err
 	}
-	if err := c.dstStore.Store().Sync(); err != nil {
+	if err := c.dst.sb.Store().Sync(); err != nil {
 		return nil, err
 	}
 	if err := c.checkPrimaries(lineage, "after promotion"); err != nil {
@@ -712,33 +514,25 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 	c.rep.PromoteTTR = prep.TTR
 
 	// Phase 3b — life goes on, on the promoted primary.
-	dstKey := fmt.Sprintf("dst/%d", pg.ID)
 	for j := 1; j <= cfg.PostEpochs; j++ {
-		if _, err := c.dstK.Run(cfg.StepsPerEpoch); err != nil {
+		if _, err := dst.k.Run(cfg.StepsPerEpoch); err != nil {
 			return nil, err
 		}
-		np, err := c.dstK.Process(pg.PIDs()[0])
+		counter, err := readCounter(dst.k, pg)
 		if err != nil {
 			return nil, err
 		}
-		var b [8]byte
-		if err := np.ReadMem(np.HeapBase(), b[:]); err != nil {
-			return nil, err
-		}
-		counter := binary.LittleEndian.Uint64(b[:])
-		if _, err := c.dstO.Checkpoint(pg, core.CheckpointOpts{}); err != nil {
+		if _, err := dst.o.Checkpoint(pg, core.CheckpointOpts{}); err != nil {
 			return nil, fmt.Errorf("bench: chaos seed %d: promoted checkpoint %d: %w", cfg.Seed, j, err)
 		}
-		if err := c.dstO.Sync(pg); err != nil {
+		if err := dst.o.Sync(pg); err != nil {
 			return nil, fmt.Errorf("bench: chaos seed %d: promoted sync %d: %w", cfg.Seed, j, err)
 		}
 		c.counterAt[pg.Epoch()] = counter
-		d := pg.Durable()
-		if prev := c.durableAt[dstKey]; d < prev {
-			return nil, fmt.Errorf("bench: chaos seed %d: promoted durable regressed %d -> %d", cfg.Seed, prev, d)
+		if err := c.dstDurable.observe(pg.ID, pg.Durable()); err != nil {
+			return nil, fmt.Errorf("bench: chaos seed %d: promoted %w", cfg.Seed, err)
 		}
-		c.durableAt[dstKey] = d
-		for c.dstO.Released(pg.ID, c.maxReleased+1) {
+		for dst.o.Released(pg.ID, c.maxReleased+1) {
 			c.maxReleased++
 		}
 		if err := c.checkPrimaries(lineage, "promoted epoch"); err != nil {
@@ -765,7 +559,7 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 	// again until the fence actually lands.
 	var syncErr error
 	for try := 0; try < 12; try++ {
-		syncErr = c.srcO.Sync(c.g)
+		syncErr = c.src.o.Sync(c.g)
 		if _, _, fenced := c.g.Fenced(); fenced {
 			break
 		}
@@ -785,10 +579,10 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 		return nil, fmt.Errorf("bench: chaos seed %d: fenced by generation %d, want %d", cfg.Seed, fencedGen, prep.Gen)
 	}
 	c.rep.StaleRejected++ // the catch-up flush the fence bounced
-	if _, err := c.srcK.Run(cfg.StepsPerEpoch); err != nil {
+	if _, err := c.src.k.Run(cfg.StepsPerEpoch); err != nil {
 		return nil, err
 	}
-	if _, err := c.srcO.Checkpoint(c.g, core.CheckpointOpts{}); !errors.Is(err, core.ErrStaleGeneration) {
+	if _, err := c.src.o.Checkpoint(c.g, core.CheckpointOpts{}); !errors.Is(err, core.ErrStaleGeneration) {
 		return nil, fmt.Errorf("bench: chaos seed %d: fenced checkpoint error = %v, want ErrStaleGeneration", cfg.Seed, err)
 	}
 	c.rep.StaleRejected++ // the refused barrier
@@ -797,7 +591,7 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 	quarantinedSet := make(map[uint64]bool)
 	var demoteErr error
 	for try := 0; try < 5; try++ {
-		q, err := c.srcO.DemoteStale(c.g)
+		q, err := c.src.o.DemoteStale(c.g)
 		for _, ep := range q {
 			quarantinedSet[ep] = true
 		}
@@ -814,10 +608,10 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 		return nil, fmt.Errorf("bench: chaos seed %d: %d epochs quarantined, want >= %d divergent",
 			cfg.Seed, c.rep.Quarantined, cfg.DivergentEpochs)
 	}
-	if got := c.srcStore.Store().FenceGen(lineage); got != prep.Gen {
+	if got := c.src.sb.Store().FenceGen(lineage); got != prep.Gen {
 		return nil, fmt.Errorf("bench: chaos seed %d: demoted store fence %d, want %d", cfg.Seed, got, prep.Gen)
 	}
-	if _, primary := c.srcStore.Store().PrimaryGen(lineage); primary {
+	if _, primary := c.src.sb.Store().PrimaryGen(lineage); primary {
 		return nil, fmt.Errorf("bench: chaos seed %d: demoted store still claims primary for lineage %d", cfg.Seed, lineage)
 	}
 	if err := c.checkPrimaries(lineage, "after demotion"); err != nil {
@@ -825,16 +619,16 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 
 	// Final bit-identity check on the promoted line.
-	if err := c.verifyState(c.dstK, pg, pg.Epoch(), "final"); err != nil {
+	if err := c.verifyState(c.dst, pg, pg.Epoch(), "final"); err != nil {
 		return nil, err
 	}
 
-	c.rep.Partitions = c.rb.Partitions()
-	c.rep.LinkDropped = c.link.DroppedCount()
-	c.rep.LinkInjected = c.link.InjectedCount()
-	c.rep.StoreInjected = c.fd.InjectedCount()
+	c.rep.Partitions = c.w.rb.Partitions()
+	c.rep.LinkDropped = c.w.link.DroppedCount()
+	c.rep.LinkInjected = c.w.link.InjectedCount()
+	c.rep.StoreInjected = c.src.fd.InjectedCount()
 	c.rep.Released = c.maxReleased
-	if rec := c.srcStore.Reclaimer(); rec != nil {
+	if rec := c.src.sb.Reclaimer(); rec != nil {
 		_, c.rep.StoreCapacity, _ = rec.Usage()
 		st := rec.Stats()
 		c.rep.EpochsReclaimed = st.EpochsReclaimed
@@ -853,23 +647,9 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 // incremental epoch. ChaosRun uses it to size a bounded device in
 // epochs instead of guessing bytes.
 func chaosFootprint(seed int64, steps int) (first, perEpoch int64, err error) {
-	clock := storage.NewClock()
-	k := kernel.NewWith(clock, vm.NewPhysMem(0))
-	o := core.NewOrchestrator(k)
-	o.FlushWorkers = 1
-	sb := core.NewStoreBackend(objstore.Create(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock), k.Mem, clock)
-
-	p, err := k.Spawn(0, "chaos-probe")
-	if err != nil {
-		return 0, 0, err
-	}
-	p.SetProgram(&chaosCounter{addr: p.HeapBase()})
-	for pg := 1; pg <= chaosPages; pg++ {
-		if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), recoveryPattern(pg, seed)); err != nil {
-			return 0, 0, err
-		}
-	}
-	g, err := o.Persist("chaos-probe", p)
+	m := NewNode("chaos-probe", seed, 0, 0, 0)
+	k, o, sb := m.k, m.o, m.sb
+	g, err := spawnCounter(o, "chaos-probe", chaosPages, seed)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,17 +1,13 @@
 package bench
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"aurora/internal/core"
-	"aurora/internal/kernel"
 	"aurora/internal/netback"
-	"aurora/internal/storage"
-	"aurora/internal/vm"
 )
 
 // This file is the live-migration chaos harness: a running counter
@@ -120,60 +116,19 @@ type MigrateChaosReport struct {
 	FinalCounter     uint64 // workload counter at exit
 }
 
-// migMachine is one simulated machine (the shared topology Node:
-// its own virtual clock, kernel, orchestrator, fault-injecting store).
-type migMachine = Node
-
-func newMigMachine(name string, seed int64, writeErr, readErr float64) *migMachine {
-	return NewNode(name, seed, writeErr, readErr)
-}
-
-// migLink is the migration wire between two machines (the shared
-// topology Wire: a fault link carrying the acked replication stream
-// plus the handoff frames).
-type migLink = Wire
-
-func newMigLink(seed int64, cfg MigrateChaosConfig, src, dst *migMachine) *migLink {
-	tp := NewTopology(netback.LinkFaultConfig{
-		Drop:    cfg.LinkDrop,
-		Dup:     cfg.LinkDup,
-		Reorder: cfg.LinkReorder,
-		Corrupt: cfg.LinkCorrupt,
-	})
-	ml := tp.Wire(seed, src, dst)
-	ml.rb.SetName("migrate-link")
-	return ml
-}
-
 // migRun carries the harness state across hops.
 type migRun struct {
 	cfg MigrateChaosConfig
 	rep *MigrateChaosReport
+	tp  *Topology // every machine minted so far, in order
 
-	cur     *migMachine // the machine currently running the workload
+	cur     *Node // the machine currently running the workload
 	g       *core.Group
 	sup     *core.Supervisor
 	lineage uint64
 
-	machines    []*migMachine
 	lastCounter uint64
-	lastDurable uint64
-}
-
-func (r *migRun) readCounter() (uint64, error) {
-	pids := r.g.PIDs()
-	if len(pids) == 0 {
-		return 0, fmt.Errorf("bench: migrate seed %d: group %d has no members", r.cfg.Seed, r.g.ID)
-	}
-	p, err := r.cur.k.Process(pids[0])
-	if err != nil {
-		return 0, err
-	}
-	var b [8]byte
-	if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	durable     durableLedger // per-machine frontier: reset at each handover
 }
 
 // step runs one workload slice on the current machine and records the
@@ -182,25 +137,12 @@ func (r *migRun) step() error {
 	if _, err := r.cur.k.Run(r.cfg.StepsPerEpoch); err != nil {
 		return err
 	}
-	c, err := r.readCounter()
+	c, err := readCounter(r.cur.k, r.g)
 	if err != nil {
-		return err
+		return fmt.Errorf("bench: migrate seed %d: %w", r.cfg.Seed, err)
 	}
 	r.lastCounter = c
 	return nil
-}
-
-// syncDurable drives the durable frontier to the barrier epoch.
-func (r *migRun) syncDurable() error {
-	var last error
-	for round := 0; round < 12; round++ {
-		last = r.cur.o.Sync(r.g)
-		if r.g.Durable() == r.g.Epoch() {
-			return nil
-		}
-	}
-	return fmt.Errorf("bench: migrate seed %d: durable stuck at %d (barrier %d): %w",
-		r.cfg.Seed, r.g.Durable(), r.g.Epoch(), last)
 }
 
 // epoch is one workload slice + checkpoint + durable sync outside any
@@ -212,41 +154,20 @@ func (r *migRun) epoch() error {
 	if _, err := r.cur.o.Checkpoint(r.g, core.CheckpointOpts{}); err != nil {
 		return err
 	}
-	return r.syncDurable()
+	if err := syncDurable(r.cur.o, r.g); err != nil {
+		return fmt.Errorf("bench: migrate seed %d: %w", r.cfg.Seed, err)
+	}
+	return nil
 }
 
 // invariants asserts durable monotonicity and the exactly-one-primary
 // fencing invariant across every store minted so far.
 func (r *migRun) invariants(where string) error {
-	if d := r.g.Durable(); d < r.lastDurable {
-		return fmt.Errorf("bench: migrate seed %d %s: durable regressed %d -> %d",
-			r.cfg.Seed, where, r.lastDurable, d)
-	} else {
-		r.lastDurable = d
+	if err := r.durable.observe(r.g.ID, r.g.Durable()); err != nil {
+		return fmt.Errorf("bench: migrate seed %d %s: %w", r.cfg.Seed, where, err)
 	}
-	type claim struct {
-		who string
-		gen uint64
-	}
-	var claims []claim
-	var maxGen uint64
-	for _, m := range r.machines {
-		if gen, primary := m.sb.Store().PrimaryGen(r.lineage); primary {
-			claims = append(claims, claim{m.name, gen})
-			if gen > maxGen {
-				maxGen = gen
-			}
-		}
-	}
-	n := 0
-	for _, cl := range claims {
-		if cl.gen == maxGen {
-			n++
-		}
-	}
-	if n != 1 {
-		return fmt.Errorf("bench: migrate seed %d %s: %d stores claim primary at max generation %d (want exactly 1: %v)",
-			r.cfg.Seed, where, n, maxGen, claims)
+	if err := solePrimary(r.lineage, r.tp.Nodes()...); err != nil {
+		return fmt.Errorf("bench: migrate seed %d %s: %w", r.cfg.Seed, where, err)
 	}
 	return nil
 }
@@ -254,35 +175,9 @@ func (r *migRun) invariants(where string) error {
 // verifyState reads the workload state back from the group's live
 // memory on machine m — demand-paging any cold tail — and checks it
 // bit-identical to the last checkpointed state.
-func (r *migRun) verifyState(m *migMachine, g *core.Group, where string) error {
-	pids := g.PIDs()
-	if len(pids) == 0 {
-		return fmt.Errorf("bench: migrate seed %d %s: no members", r.cfg.Seed, where)
-	}
-	p, err := m.k.Process(pids[0])
-	if err != nil {
+func (r *migRun) verifyState(m *Node, g *core.Group, where string) error {
+	if err := verifyCounter(m.k, g, r.lastCounter, chaosPages, r.cfg.Seed); err != nil {
 		return fmt.Errorf("bench: migrate seed %d %s: %w", r.cfg.Seed, where, err)
-	}
-	var b [8]byte
-	if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-		return fmt.Errorf("bench: migrate seed %d %s: reading counter: %w", r.cfg.Seed, where, err)
-	}
-	if got := binary.LittleEndian.Uint64(b[:]); got != r.lastCounter {
-		return fmt.Errorf("bench: migrate seed %d %s: counter %d, want %d — state not bit-identical",
-			r.cfg.Seed, where, got, r.lastCounter)
-	}
-	buf := make([]byte, vm.PageSize)
-	for pg := 1; pg <= chaosPages; pg++ {
-		if err := p.ReadMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), buf); err != nil {
-			return fmt.Errorf("bench: migrate seed %d %s: paging page %d: %w", r.cfg.Seed, where, pg, err)
-		}
-		ref := recoveryPattern(pg, r.cfg.Seed)
-		for i := range buf {
-			if buf[i] != ref[i] {
-				return fmt.Errorf("bench: migrate seed %d %s: page %d byte %d differs — state not bit-identical",
-					r.cfg.Seed, where, pg, i)
-			}
-		}
 	}
 	r.rep.RestoresVerified++
 	return nil
@@ -292,39 +187,15 @@ func (r *migRun) verifyState(m *migMachine, g *core.Group, where string) error {
 // machine and checks it bit-identical: the "restores from the target
 // store" acceptance check.
 func (r *migRun) verifyFromStore(sb *core.StoreBackend, group, epoch uint64, where string) error {
-	var img *core.Image
-	var readTime time.Duration
-	var err error
-	for attempt := 0; attempt < 8; attempt++ { // ride out injected read faults
-		if img, readTime, err = sb.Load(group, epoch); err == nil {
-			break
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("bench: migrate seed %d %s: loading epoch %d: %w", r.cfg.Seed, where, epoch, err)
-	}
-	clock := storage.NewClock()
-	k := kernel.NewWith(clock, vm.NewPhysMem(0))
-	o := core.NewOrchestrator(k)
-	ng, _, err := o.RestoreImage(img, readTime, core.RestoreOpts{})
-	if err != nil {
-		return fmt.Errorf("bench: migrate seed %d %s: restoring epoch %d: %w", r.cfg.Seed, where, epoch, err)
-	}
-	pids := ng.PIDs()
-	p, err := k.Process(pids[0])
+	img, readTime, err := loadEpoch(sb, group, epoch)
 	if err != nil {
 		return fmt.Errorf("bench: migrate seed %d %s: %w", r.cfg.Seed, where, err)
 	}
-	var b [8]byte
-	if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-		return fmt.Errorf("bench: migrate seed %d %s: reading counter: %w", r.cfg.Seed, where, err)
+	m, ng, err := scratchRestore(img, readTime)
+	if err != nil {
+		return fmt.Errorf("bench: migrate seed %d %s: %w", r.cfg.Seed, where, err)
 	}
-	if got := binary.LittleEndian.Uint64(b[:]); got != r.lastCounter {
-		return fmt.Errorf("bench: migrate seed %d %s: scratch restore counter %d, want %d",
-			r.cfg.Seed, where, got, r.lastCounter)
-	}
-	r.rep.RestoresVerified++
-	return nil
+	return r.verifyState(m, ng, where+" scratch restore")
 }
 
 // expectFenced verifies the fenced source is rejected at both levels:
@@ -333,7 +204,7 @@ func (r *migRun) verifyFromStore(sb *core.StoreBackend, group, epoch uint64, whe
 // zombie's attempt to reclaim the primary role at its old generation.
 // Together they pin the guarantee that a zombie source can never
 // re-advance the migrated lineage's durable state.
-func (r *migRun) expectFenced(m *migMachine, g *core.Group, oldGen uint64, where string) error {
+func (r *migRun) expectFenced(m *Node, g *core.Group, oldGen uint64, where string) error {
 	if _, err := m.o.Checkpoint(g, core.CheckpointOpts{}); !errors.Is(err, core.ErrStaleGeneration) {
 		return fmt.Errorf("bench: migrate seed %d %s: fenced source checkpoint = %v, want ErrStaleGeneration",
 			r.cfg.Seed, where, err)
@@ -346,50 +217,107 @@ func (r *migRun) expectFenced(m *migMachine, g *core.Group, oldGen uint64, where
 	return nil
 }
 
-// hop performs one planned live migration to a fresh machine and
-// moves the workload there.
-func (r *migRun) hop(idx int) error {
-	cfg := r.cfg
-	dst := newMigMachine(fmt.Sprintf("m%d", idx+1), cfg.Seed*31+int64(idx+1)*977, cfg.StoreWriteErr, cfg.StoreReadErr)
-	r.machines = append(r.machines, dst)
-	ml := newMigLink(cfg.Seed*1000003+int64(idx)*7919, cfg, r.cur, dst)
-	if err := ml.connect(r.g.ID); err != nil {
-		return fmt.Errorf("bench: migrate seed %d hop %d: connect: %w", cfg.Seed, idx, err)
-	}
+// leg is one move of the workload off the current machine: the target
+// machine, the migration wire to it, and the migrator driving it.
+type leg struct {
+	src, dst *Node
+	srcG     *core.Group
+	ml       *Wire
+	mig      *core.Migrator
+}
 
-	src := r.cur
-	srcG := r.g
-	mig := &core.Migrator{
-		Src:      src.o,
-		Dst:      dst.o,
-		G:        srcG,
-		Link:     ml.rb,
-		Target:   ml.recv,
-		SrcStore: src.sb,
-		DstStore: dst.sb,
+// newLeg mints the target machine, strings and connects the migration
+// wire to it, and builds the migrator.
+func (r *migRun) newLeg(dstName string, dstSeed, linkSeed int64, migName string) (*leg, error) {
+	cfg := r.cfg
+	l := &leg{src: r.cur, srcG: r.g}
+	l.dst = r.tp.Node(dstName, dstSeed, cfg.StoreWriteErr, cfg.StoreReadErr)
+	l.ml = r.tp.Wire(linkSeed, l.src, l.dst)
+	l.ml.rb.SetName("migrate-link")
+	if err := l.ml.connect(r.g.ID); err != nil {
+		return nil, err
+	}
+	l.mig = &core.Migrator{
+		Src:      l.src.o,
+		Dst:      l.dst.o,
+		G:        l.srcG,
+		Link:     l.ml.rb,
+		Target:   l.ml.recv,
+		SrcStore: l.src.sb,
+		DstStore: l.dst.sb,
 		Sup:      r.sup,
 		Reconnect: func() error {
-			return ml.reset(srcG.ID)
+			return l.ml.reset(l.srcG.ID)
 		},
 		Cfg: core.MigratorConfig{
 			MaxRounds: cfg.Rounds,
 			Retries:   cfg.Retries,
 			Lineage:   r.lineage,
-			Name:      fmt.Sprintf("migrated-%d", idx+1),
+			Name:      migName,
 		},
 	}
+	return l, nil
+}
 
+// land moves the workload onto the leg's target as group g and checks
+// the handover: invariants, the durable floor, the migrated state
+// bit-identical live (demand-paged through the lazy tail: target store
+// first, then source store/receiver peers with read-repair) and from a
+// scratch restore of the target store alone, and a fenced source that
+// refuses to re-advance. The workload then runs forward on the target.
+func (r *migRun) land(l *leg, g *core.Group, floor uint64, where string) error {
+	cfg := r.cfg
+	r.cur = l.dst
+	r.g = g
+	r.durable = make(durableLedger)
+	if err := r.invariants(where); err != nil {
+		return err
+	}
+	if r.g.Durable() < floor {
+		return fmt.Errorf("bench: migrate seed %d %s: target durable %d below handover floor %d",
+			cfg.Seed, where, r.g.Durable(), floor)
+	}
+	if err := r.verifyState(l.dst, r.g, where+" lazy tail"); err != nil {
+		return err
+	}
+	if err := r.verifyFromStore(l.dst.sb, l.srcG.ID, floor, where+" target store"); err != nil {
+		return err
+	}
+	if err := r.expectFenced(l.src, l.srcG, l.srcG.Generation(), where+" fenced source"); err != nil {
+		return err
+	}
+	l.ml.stop()
+	r.rep.LinkDropped += l.ml.link.DroppedCount()
+	r.rep.LinkInjected += l.ml.link.InjectedCount()
+
+	for i := 0; i < cfg.PostEpochs; i++ {
+		if err := r.epoch(); err != nil {
+			return fmt.Errorf("bench: migrate seed %d %s post-epoch %d: %w", cfg.Seed, where, i, err)
+		}
+	}
+	return r.invariants(where + " post")
+}
+
+// hop performs one planned live migration to a fresh machine and
+// moves the workload there.
+func (r *migRun) hop(idx int) error {
+	cfg := r.cfg
+	l, err := r.newLeg(fmt.Sprintf("m%d", idx+1), cfg.Seed*31+int64(idx+1)*977,
+		cfg.Seed*1000003+int64(idx)*7919, fmt.Sprintf("migrated-%d", idx+1))
+	if err != nil {
+		return fmt.Errorf("bench: migrate seed %d hop %d: connect: %w", cfg.Seed, idx, err)
+	}
 	round := 0
 	workload := func() error {
 		round++
 		if cfg.PartitionMid && round == 1 {
 			// Mid-pre-copy partition: stays closed through the first
 			// reconnect attempt, so the migrator pays real retries.
-			ml.partition(1)
+			l.ml.partition(1)
 		}
 		return r.step()
 	}
-	rep, err := mig.Run(workload)
+	rep, err := l.mig.Run(workload)
 	if err != nil {
 		return fmt.Errorf("bench: migrate seed %d hop %d: %w", cfg.Seed, idx, err)
 	}
@@ -401,46 +329,9 @@ func (r *migRun) hop(idx int) error {
 	r.rep.Retries += rep.Retries
 	r.rep.Gen = rep.Gen
 
-	// The workload now lives on the target.
-	r.cur = dst
-	r.g = rep.Group
-	r.sup = core.NewSupervisor(dst.o, core.SupervisorConfig{})
-	r.sup.Watch(r.g)
-	r.lastDurable = 0 // per-machine frontier; monotone within a machine
-
-	where := fmt.Sprintf("hop %d", idx)
-	if err := r.invariants(where); err != nil {
-		return err
-	}
-	if r.g.Durable() < rep.Floor {
-		return fmt.Errorf("bench: migrate seed %d %s: target durable %d below handover floor %d",
-			cfg.Seed, where, r.g.Durable(), rep.Floor)
-	}
-	// The migrated state must be bit-identical, demand-paged through
-	// the lazy tail (target store first, then source store/receiver
-	// peers with read-repair).
-	if err := r.verifyState(dst, r.g, where+" lazy tail"); err != nil {
-		return err
-	}
-	// A scratch restore from the target store alone must agree.
-	if err := r.verifyFromStore(dst.sb, srcG.ID, rep.Floor, where+" target store"); err != nil {
-		return err
-	}
-	// The fenced source must refuse to re-advance, even restarted.
-	if err := r.expectFenced(src, srcG, srcG.Generation(), where+" fenced source"); err != nil {
-		return err
-	}
-	ml.stop()
-	r.rep.LinkDropped += ml.link.DroppedCount()
-	r.rep.LinkInjected += ml.link.InjectedCount()
-
-	// Run the workload forward on the target.
-	for i := 0; i < cfg.PostEpochs; i++ {
-		if err := r.epoch(); err != nil {
-			return fmt.Errorf("bench: migrate seed %d %s post-epoch %d: %w", cfg.Seed, where, i, err)
-		}
-	}
-	return r.invariants(where + " post")
+	r.sup = core.NewSupervisor(l.dst.o, core.SupervisorConfig{})
+	r.sup.Watch(rep.Group)
+	return r.land(l, rep.Group, rep.Floor, fmt.Sprintf("hop %d", idx))
 }
 
 // standbyLeg runs the hot-standby story: perpetual pre-copy to a
@@ -449,39 +340,16 @@ func (r *migRun) hop(idx int) error {
 func (r *migRun) standbyLeg() error {
 	cfg := r.cfg
 	idx := cfg.Hops + 1
-	dst := newMigMachine(fmt.Sprintf("standby-m%d", idx), cfg.Seed*37+int64(idx)*1009, cfg.StoreWriteErr, cfg.StoreReadErr)
-	r.machines = append(r.machines, dst)
-	ml := newMigLink(cfg.Seed*999983+int64(idx)*104729, cfg, r.cur, dst)
-	if err := ml.connect(r.g.ID); err != nil {
+	l, err := r.newLeg(fmt.Sprintf("standby-m%d", idx), cfg.Seed*37+int64(idx)*1009,
+		cfg.Seed*999983+int64(idx)*104729, "standby")
+	if err != nil {
 		return fmt.Errorf("bench: migrate seed %d standby: connect: %w", cfg.Seed, err)
-	}
-
-	src := r.cur
-	srcG := r.g
-	mig := &core.Migrator{
-		Src:      src.o,
-		Dst:      dst.o,
-		G:        srcG,
-		Link:     ml.rb,
-		Target:   ml.recv,
-		SrcStore: src.sb,
-		DstStore: dst.sb,
-		Sup:      r.sup,
-		Reconnect: func() error {
-			return ml.reset(srcG.ID)
-		},
-		Cfg: core.MigratorConfig{
-			MaxRounds: cfg.Rounds,
-			Retries:   cfg.Retries,
-			Lineage:   r.lineage,
-			Name:      "standby",
-		},
 	}
 
 	// Keep the standby warm: perpetual pre-copy on the checkpoint
 	// cadence.
 	for i := 0; i < cfg.Rounds; i++ {
-		if err := mig.StandbyRound(r.step); err != nil {
+		if err := l.mig.StandbyRound(r.step); err != nil {
 			return fmt.Errorf("bench: migrate seed %d standby round %d: %w", cfg.Seed, i, err)
 		}
 	}
@@ -489,13 +357,13 @@ func (r *migRun) standbyLeg() error {
 	// Unplanned death: every member crashes with an error. The source
 	// supervisor would normally restore this — the promotion must beat
 	// it by fencing, and a later poll must refuse the fenced zombie.
-	for _, pid := range srcG.PIDs() {
-		if p, err := src.k.Process(pid); err == nil {
-			src.k.Exit(p, 2)
+	for _, pid := range l.srcG.PIDs() {
+		if p, err := l.src.k.Process(pid); err == nil {
+			l.src.k.Exit(p, 2)
 		}
 	}
 
-	rep, err := mig.PromoteStandby()
+	rep, err := l.mig.PromoteStandby()
 	if err != nil {
 		return fmt.Errorf("bench: migrate seed %d standby promotion: %w", cfg.Seed, err)
 	}
@@ -508,7 +376,7 @@ func (r *migRun) standbyLeg() error {
 	// a poll restores nothing. A restarted supervisor that re-watches
 	// the fenced zombie (it cannot know better) must refuse to restore
 	// it and report it fenced instead.
-	r.sup.Watch(srcG)
+	r.sup.Watch(l.srcG)
 	for _, ev := range r.sup.Poll() {
 		if ev.NewGroup != 0 {
 			return fmt.Errorf("bench: migrate seed %d standby: supervisor restored fenced zombie group %d as %d",
@@ -518,54 +386,27 @@ func (r *migRun) standbyLeg() error {
 			r.rep.SupervisorSkips++
 		}
 	}
-
-	r.cur = dst
-	r.g = rep.Group
-	r.lastDurable = 0
-	if err := r.invariants("standby"); err != nil {
-		return err
-	}
-	if err := r.verifyState(dst, r.g, "standby lazy tail"); err != nil {
-		return err
-	}
-	if err := r.verifyFromStore(dst.sb, srcG.ID, rep.Floor, "standby target store"); err != nil {
-		return err
-	}
-	if err := r.expectFenced(src, srcG, srcG.Generation(), "standby fenced source"); err != nil {
-		return err
-	}
-	ml.stop()
-	r.rep.LinkDropped += ml.link.DroppedCount()
-	r.rep.LinkInjected += ml.link.InjectedCount()
-
-	for i := 0; i < cfg.PostEpochs; i++ {
-		if err := r.epoch(); err != nil {
-			return fmt.Errorf("bench: migrate seed %d standby post-epoch %d: %w", cfg.Seed, i, err)
-		}
-	}
-	return r.invariants("standby post")
+	return r.land(l, rep.Group, rep.Floor, "standby")
 }
 
 // MigrateChaosRun executes one migration chaos schedule.
 func MigrateChaosRun(cfg MigrateChaosConfig) (*MigrateChaosReport, error) {
 	cfg = cfg.withDefaults()
-	r := &migRun{cfg: cfg, rep: &MigrateChaosReport{Seed: cfg.Seed, Hops: cfg.Hops}}
-
-	m0 := newMigMachine("m0", cfg.Seed, cfg.StoreWriteErr, cfg.StoreReadErr)
-	r.machines = []*migMachine{m0}
+	r := &migRun{
+		cfg: cfg,
+		rep: &MigrateChaosReport{Seed: cfg.Seed, Hops: cfg.Hops},
+		tp: NewTopology(netback.LinkFaultConfig{
+			Drop:    cfg.LinkDrop,
+			Dup:     cfg.LinkDup,
+			Reorder: cfg.LinkReorder,
+			Corrupt: cfg.LinkCorrupt,
+		}),
+		durable: make(durableLedger),
+	}
+	m0 := r.tp.Node("m0", cfg.Seed, cfg.StoreWriteErr, cfg.StoreReadErr)
 	r.cur = m0
 
-	p, err := m0.k.Spawn(0, "migrate-app")
-	if err != nil {
-		return nil, err
-	}
-	p.SetProgram(&chaosCounter{addr: p.HeapBase()})
-	for pg := 1; pg <= chaosPages; pg++ {
-		if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), recoveryPattern(pg, cfg.Seed)); err != nil {
-			return nil, err
-		}
-	}
-	g, err := m0.o.Persist("migrate-app", p)
+	g, err := spawnCounter(m0.o, "migrate-app", chaosPages, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

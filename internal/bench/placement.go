@@ -1,17 +1,13 @@
 package bench
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"aurora/internal/core"
-	"aurora/internal/kernel"
 	"aurora/internal/netback"
-	"aurora/internal/storage"
-	"aurora/internal/vm"
 )
 
 // This file is the store-kill placement chaos harness: a fleet of N
@@ -134,20 +130,216 @@ type PlacementChaosReport struct {
 	LinkInjected int64
 }
 
-// placeRun carries the harness state.
-type placeRun struct {
-	cfg PlacementChaosConfig
-	rep *PlacementChaosReport
+// fleet is the state the placement and autoscale engines share: store
+// nodes behind one placer, and the per-lineage record the oracle checks
+// them against.
+type fleet struct {
+	engine string // "placement" or "autoscale", for error messages
+	seed   int64
+	steps  int // scheduler quanta per resident group per workload round
 
 	tp     *Topology
 	dir    *netback.Directory
 	placer *core.Placer
-	nodes  []*core.StoreNode
-	bench  map[*core.StoreNode]*Node // placer node -> topology node
+	nodes  []*core.StoreNode // every store ever built, admitted or not
+	bench  map[*core.StoreNode]*Node
 
 	counterAt   map[uint64]map[uint64]uint64 // lineage -> epoch -> counter
 	patternSeed map[uint64]int64             // lineage -> pattern seed
-	lastDurable map[uint64]uint64            // lineage -> last observed durable
+	durable     durableLedger
+	verified    int // bit-identical verifications (live + scratch)
+	violations  int // invariant failures (must stay 0)
+}
+
+// newFleet builds an empty fleet whose wires inject the given link
+// faults.
+func newFleet(engine string, seed int64, steps int, faults netback.LinkFaultConfig, pc core.PlacerConfig) *fleet {
+	dirFaults := faults
+	dirFaults.Seed = seed
+	dir := netback.NewDirectory(dirFaults)
+	return &fleet{
+		engine:      engine,
+		seed:        seed,
+		steps:       steps,
+		tp:          NewTopology(faults),
+		dir:         dir,
+		placer:      core.NewPlacer(dir, pc),
+		bench:       make(map[*core.StoreNode]*Node),
+		counterAt:   make(map[uint64]map[uint64]uint64),
+		patternSeed: make(map[uint64]int64),
+		durable:     make(durableLedger),
+	}
+}
+
+func (f *fleet) errorf(format string, args ...any) error {
+	return fmt.Errorf("bench: %s seed %d: "+format, append([]any{f.engine, f.seed}, args...)...)
+}
+
+// store builds store i (a full topology node) in the given failure
+// domain; the caller admits it.
+func (f *fleet) store(i int, domain string, writeErr, readErr float64) *core.StoreNode {
+	bn := f.tp.Node(fmt.Sprintf("store%d", i), f.seed*1000003+int64(i)*7919, writeErr, readErr)
+	sn := &core.StoreNode{
+		Name:   bn.name,
+		Domain: domain,
+		O:      bn.o,
+		SB:     bn.sb,
+		Sup:    core.NewSupervisor(bn.o, core.SupervisorConfig{}),
+	}
+	f.nodes = append(f.nodes, sn)
+	f.bench[sn] = bn
+	return sn
+}
+
+// place lands lineage number i: the counter workload with placePages
+// patterned pages under its own pattern seed.
+func (f *fleet) place(i int) error {
+	name := fmt.Sprintf("app%04d", i)
+	pseed := f.seed + int64(i)
+	pl, err := f.placer.Place(name, func(n *core.StoreNode) (*core.Group, error) {
+		return spawnCounter(n.O, name, placePages, pseed)
+	})
+	if err != nil {
+		return err
+	}
+	f.patternSeed[pl.Lineage] = pseed
+	f.counterAt[pl.Lineage] = make(map[uint64]uint64)
+	return nil
+}
+
+// live reports whether the placement is routable (not evacuating, not
+// lost) and returns it.
+func (f *fleet) live(lineage uint64) (*core.Placement, bool) {
+	pl, err := f.placer.Lookup(lineage)
+	if err != nil {
+		return nil, false
+	}
+	return pl, true
+}
+
+// residents counts the routable primaries each store holds.
+func (f *fleet) residents() map[*core.StoreNode]int {
+	resident := make(map[*core.StoreNode]int)
+	for _, pl := range f.placer.Placements() {
+		if pl, ok := f.live(pl.Lineage); ok {
+			resident[pl.Primary()]++
+		}
+	}
+	return resident
+}
+
+// run drives one open-loop workload round: every active or draining
+// store runs its resident groups.
+func (f *fleet) run() error {
+	for sn, count := range f.residents() {
+		if st := sn.State(); st != core.StoreActive && st != core.StoreDraining {
+			continue
+		}
+		if _, err := f.bench[sn].k.Run(count * f.steps); err != nil {
+			return f.errorf("workload on %s: %w", sn.Name, err)
+		}
+	}
+	return nil
+}
+
+// checkpoint checkpoints every routable lineage until admitted (a shed
+// retries only the barrier), records the counter it captured, syncs it
+// durable through the placer's wire-healing loop, and checks durable
+// never regresses.
+func (f *fleet) checkpoint() error {
+	for _, pl := range f.placer.Placements() {
+		pl, ok := f.live(pl.Lineage)
+		if !ok {
+			continue
+		}
+		g := pl.Group()
+		c, err := readCounter(pl.Primary().O.K, g)
+		if err != nil {
+			return f.errorf("lineage %d: %w", pl.Lineage, err)
+		}
+		if err := admitCheckpoint(pl.Primary().O, g, nil); err != nil {
+			return f.errorf("checkpointing lineage %d: %w", pl.Lineage, err)
+		}
+		f.counterAt[pl.Lineage][g.Epoch()] = c
+		if err := f.placer.SyncDurable(pl.Lineage); err != nil {
+			return f.errorf("%w", err)
+		}
+		if err := f.durable.observe(pl.Lineage, g.Durable()); err != nil {
+			return f.errorf("%w", err)
+		}
+	}
+	return nil
+}
+
+// verifyLineage checks the lineage bit-identical: the live counter and
+// patterned pages on the current primary match the last checkpointed
+// state, and so does a scratch-machine restore from the primary's store.
+func (f *fleet) verifyLineage(pl *core.Placement, where string) error {
+	g := pl.Group()
+	want, ok := f.counterAt[pl.Lineage][g.Durable()]
+	if !ok {
+		// The durable frontier includes placer-internal seed
+		// checkpoints; fall back to the newest engine-observed epoch at
+		// or below it.
+		var best uint64
+		found := false
+		for ep, c := range f.counterAt[pl.Lineage] {
+			if ep <= g.Durable() && ep >= best {
+				best, want, found = ep, c, true
+			}
+		}
+		if !found {
+			return f.errorf("%s: no recorded counter for lineage %d ≤ epoch %d", where, pl.Lineage, g.Durable())
+		}
+	}
+	pseed := f.patternSeed[pl.Lineage]
+	if err := verifyCounter(pl.Primary().O.K, g, want, placePages, pseed); err != nil {
+		return f.errorf("%s: lineage %d: %w", where, pl.Lineage, err)
+	}
+	f.verified++
+
+	// Scratch restore from the new primary's store: the image chain
+	// the promotion backfilled must be independently restorable.
+	img, readTime, err := loadEpoch(pl.Primary().SB, g.ID, g.Durable())
+	if err != nil {
+		return f.errorf("%s: lineage %d: %w", where, pl.Lineage, err)
+	}
+	m, ng, err := scratchRestore(img, readTime)
+	if err != nil {
+		return f.errorf("%s: lineage %d: %w", where, pl.Lineage, err)
+	}
+	if err := verifyCounter(m.k, ng, want, placePages, pseed); err != nil {
+		return f.errorf("%s: scratch restore of lineage %d: %w", where, pl.Lineage, err)
+	}
+	f.verified++
+	return nil
+}
+
+// checkInvariants asserts zero anti-affinity violations and the
+// exactly-one-primary-at-max-gen fencing invariant for every lineage,
+// across every store in the fleet (dead ones included — their stale
+// claims must rank strictly below the promoted generation).
+func (f *fleet) checkInvariants(where string) error {
+	if v := f.placer.AntiAffinityViolations(); len(v) != 0 {
+		f.violations += len(v)
+		return f.errorf("%s: anti-affinity violated: %v", where, v)
+	}
+	for _, pl := range f.placer.Placements() {
+		if _, ok := f.live(pl.Lineage); !ok {
+			continue
+		}
+		if err := solePrimary(pl.Lineage, f.tp.Nodes()...); err != nil {
+			return f.errorf("%s: %w", where, err)
+		}
+	}
+	return nil
+}
+
+// placeRun carries the placement harness state.
+type placeRun struct {
+	*fleet
+	cfg PlacementChaosConfig
+	rep *PlacementChaosReport
 }
 
 func domainOf(i, stores int) string {
@@ -161,79 +353,38 @@ func domainOf(i, stores int) string {
 // PlacementChaosRun executes one placement chaos schedule.
 func PlacementChaosRun(cfg PlacementChaosConfig) (*PlacementChaosReport, error) {
 	cfg = cfg.withDefaults()
-	r := &placeRun{
-		cfg:         cfg,
-		rep:         &PlacementChaosReport{Seed: cfg.Seed, Stores: cfg.Stores, Groups: cfg.Groups},
-		bench:       make(map[*core.StoreNode]*Node),
-		counterAt:   make(map[uint64]map[uint64]uint64),
-		patternSeed: make(map[uint64]int64),
-		lastDurable: make(map[uint64]uint64),
-	}
-
 	// Fleet: N stores, each a full topology node, linked through the
 	// production netback directory (the same code path the CLI wires).
-	r.tp = NewTopology(netback.LinkFaultConfig{
-		Drop:    cfg.LinkDrop,
-		Dup:     cfg.LinkDup,
-		Reorder: cfg.LinkReorder,
-		Corrupt: cfg.LinkCorrupt,
-	})
-	r.dir = netback.NewDirectory(netback.LinkFaultConfig{
-		Seed:    cfg.Seed,
-		Drop:    cfg.LinkDrop,
-		Dup:     cfg.LinkDup,
-		Reorder: cfg.LinkReorder,
-		Corrupt: cfg.LinkCorrupt,
-	})
-	r.placer = core.NewPlacer(r.dir, core.PlacerConfig{
-		Replicas:        cfg.Replicas,
-		EvacConcurrency: cfg.EvacConcurrency,
-		DownAfter:       5, // ride out injected probe faults on healthy stores
-		Retries:         8, // faulted cells need migrator retry headroom
-	})
+	r := &placeRun{
+		fleet: newFleet("placement", cfg.Seed, cfg.StepsPerEpoch, netback.LinkFaultConfig{
+			Drop:    cfg.LinkDrop,
+			Dup:     cfg.LinkDup,
+			Reorder: cfg.LinkReorder,
+			Corrupt: cfg.LinkCorrupt,
+		}, core.PlacerConfig{
+			Replicas:        cfg.Replicas,
+			EvacConcurrency: cfg.EvacConcurrency,
+			DownAfter:       5, // ride out injected probe faults on healthy stores
+			Retries:         8, // faulted cells need migrator retry headroom
+		}),
+		cfg: cfg,
+		rep: &PlacementChaosReport{Seed: cfg.Seed, Stores: cfg.Stores, Groups: cfg.Groups},
+	}
 	for i := 0; i < cfg.Stores; i++ {
-		bn := r.tp.Node(fmt.Sprintf("store%d", i), cfg.Seed*1000003+int64(i)*7919,
-			cfg.StoreWriteErr, cfg.StoreReadErr)
-		sn := &core.StoreNode{
-			Name:   bn.name,
-			Domain: domainOf(i, cfg.Stores),
-			O:      bn.o,
-			SB:     bn.sb,
-			Sup:    core.NewSupervisor(bn.o, core.SupervisorConfig{}),
-		}
-		if err := r.placer.AddStore(sn); err != nil {
+		if err := r.placer.AddStore(r.store(i, domainOf(i, cfg.Stores), cfg.StoreWriteErr, cfg.StoreReadErr)); err != nil {
 			return nil, err
 		}
-		r.nodes = append(r.nodes, sn)
-		r.bench[sn] = bn
 	}
 
 	// Place the fleet's lineages.
 	for i := 0; i < cfg.Groups; i++ {
-		name := fmt.Sprintf("app%04d", i)
-		pseed := cfg.Seed + int64(i)
-		pl, err := r.placer.Place(name, func(n *core.StoreNode) (*core.Group, error) {
-			p, err := n.O.K.Spawn(0, name)
-			if err != nil {
-				return nil, err
-			}
-			p.SetProgram(&chaosCounter{addr: p.HeapBase()})
-			for pg := 1; pg <= placePages; pg++ {
-				if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), recoveryPattern(pg, pseed)); err != nil {
-					return nil, err
-				}
-			}
-			return n.O.Persist(name, p)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bench: placement seed %d: placing %s: %w", cfg.Seed, name, err)
+		if err := r.place(i); err != nil {
+			return nil, r.errorf("placing app%04d: %w", i, err)
 		}
-		r.patternSeed[pl.Lineage] = pseed
-		r.counterAt[pl.Lineage] = make(map[uint64]uint64)
 		r.rep.Placed++
 	}
 	if v := r.placer.AntiAffinityViolations(); len(v) != 0 {
-		return nil, fmt.Errorf("bench: placement seed %d: violations at placement time: %v", cfg.Seed, v)
+		return nil, r.errorf("violations at placement time: %v", v)
 	}
 
 	// Open-loop checkpoint load before the kill.
@@ -282,6 +433,7 @@ func PlacementChaosRun(cfg PlacementChaosConfig) (*PlacementChaosReport, error) 
 			}
 		}
 	}
+	r.rep.RestoresVerified, r.rep.Violations = r.verified, r.violations
 	sort.Slice(r.rep.EvacTTRs, func(i, j int) bool { return r.rep.EvacTTRs[i] < r.rep.EvacTTRs[j] })
 	if n := len(r.rep.EvacTTRs); n > 0 {
 		r.rep.EvacTTRp50 = r.rep.EvacTTRs[n/2]
@@ -291,84 +443,14 @@ func PlacementChaosRun(cfg PlacementChaosConfig) (*PlacementChaosReport, error) 
 	return r.rep, nil
 }
 
-// live reports whether the placement is routable (not evacuating, not
-// lost) and returns it.
-func (r *placeRun) live(lineage uint64) (*core.Placement, bool) {
-	pl, err := r.placer.Lookup(lineage)
-	if err != nil {
-		return nil, false
-	}
-	return pl, true
-}
-
-func (r *placeRun) readCounter(pl *core.Placement) (uint64, error) {
-	g := pl.Group()
-	pids := g.PIDs()
-	if len(pids) == 0 {
-		return 0, fmt.Errorf("bench: placement seed %d: lineage %d has no members", r.cfg.Seed, pl.Lineage)
-	}
-	p, err := pl.Primary().O.K.Process(pids[0])
-	if err != nil {
-		return 0, err
-	}
-	var b [8]byte
-	if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
 // epoch drives one open-loop round: every active store runs its
 // resident groups, then every routable lineage checkpoints and syncs
-// durable through the placer's wire-healing loop.
+// durable.
 func (r *placeRun) epoch() error {
-	placements := r.placer.Placements()
-	resident := make(map[*core.StoreNode]int)
-	for _, pl := range placements {
-		if _, ok := r.live(pl.Lineage); ok {
-			resident[pl.Primary()]++
-		}
+	if err := r.run(); err != nil {
+		return err
 	}
-	for sn, count := range resident {
-		if st := sn.State(); st != core.StoreActive && st != core.StoreDraining {
-			continue
-		}
-		if _, err := r.bench[sn].k.Run(count * r.cfg.StepsPerEpoch); err != nil {
-			return fmt.Errorf("bench: placement seed %d: workload on %s: %w", r.cfg.Seed, sn.Name, err)
-		}
-	}
-	for _, pl := range placements {
-		pl, ok := r.live(pl.Lineage)
-		if !ok {
-			continue
-		}
-		c, err := r.readCounter(pl)
-		if err != nil {
-			return err
-		}
-		shed := true
-		for attempt := 0; attempt < 16 && shed; attempt++ {
-			bd, err := pl.Primary().O.Checkpoint(pl.Group(), core.CheckpointOpts{})
-			if err != nil {
-				return fmt.Errorf("bench: placement seed %d: checkpointing lineage %d: %w", r.cfg.Seed, pl.Lineage, err)
-			}
-			shed = bd.Shed
-		}
-		if shed {
-			return fmt.Errorf("bench: placement seed %d: admission control starved lineage %d", r.cfg.Seed, pl.Lineage)
-		}
-		r.counterAt[pl.Lineage][pl.Group().Epoch()] = c
-		if err := r.placer.SyncDurable(pl.Lineage); err != nil {
-			return err
-		}
-		if d := pl.Group().Durable(); d < r.lastDurable[pl.Lineage] {
-			return fmt.Errorf("bench: placement seed %d: lineage %d durable regressed %d -> %d",
-				r.cfg.Seed, pl.Lineage, r.lastDurable[pl.Lineage], d)
-		} else {
-			r.lastDurable[pl.Lineage] = d
-		}
-	}
-	return nil
+	return r.checkpoint()
 }
 
 // killLeg kills the busiest store's device permanently and polls the
@@ -413,7 +495,7 @@ func (r *placeRun) killLeg() error {
 				r.rep.Repaired++
 			}
 			if ev.Kind == "evac-failed" && ev.Err != nil && !errors.Is(ev.Err, core.ErrNoFeasiblePlacement) {
-				return fmt.Errorf("bench: placement seed %d: evacuating lineage %d: %w", r.cfg.Seed, ev.Lineage, ev.Err)
+				return r.errorf("evacuating lineage %d: %w", ev.Lineage, ev.Err)
 			}
 		}
 		evac, repair := r.placer.QueueDepths()
@@ -431,18 +513,18 @@ func (r *placeRun) killLeg() error {
 		}
 	}
 	if evac, repair := r.placer.QueueDepths(); evac != 0 || repair != 0 {
-		return fmt.Errorf("bench: placement seed %d: storm did not drain (evac %d, repair %d after %d polls)",
-			r.cfg.Seed, evac, repair, r.rep.Polls)
+		return r.errorf("storm did not drain (evac %d, repair %d after %d polls)",
+			evac, repair, r.rep.Polls)
 	}
 
 	// Every resident must be re-homed and bit-identical.
 	for _, lin := range residents {
 		pl, ok := r.live(lin)
 		if !ok {
-			return fmt.Errorf("bench: placement seed %d: lineage %d not routable after heal", r.cfg.Seed, lin)
+			return r.errorf("lineage %d not routable after heal", lin)
 		}
 		if pl.Primary() == victim {
-			return fmt.Errorf("bench: placement seed %d: lineage %d still resident on dead %s", r.cfg.Seed, lin, victim.Name)
+			return r.errorf("lineage %d still resident on dead %s", lin, victim.Name)
 		}
 		if err := r.verifyLineage(pl, "post-evacuation"); err != nil {
 			return err
@@ -454,150 +536,11 @@ func (r *placeRun) killLeg() error {
 	return r.checkInvariants("post-evacuation")
 }
 
-// verifyLineage checks the lineage bit-identical: the live counter and
-// patterned pages on the current primary match the last checkpointed
-// state, and a scratch-machine restore from the primary's store agrees.
-func (r *placeRun) verifyLineage(pl *core.Placement, where string) error {
-	g := pl.Group()
-	want, ok := r.counterAt[pl.Lineage][g.Durable()]
-	if !ok {
-		// The durable frontier includes placer-internal seed
-		// checkpoints; fall back to the newest engine-observed epoch at
-		// or below it.
-		var best uint64
-		found := false
-		for ep, c := range r.counterAt[pl.Lineage] {
-			if ep <= g.Durable() && ep >= best {
-				best, want, found = ep, c, true
-			}
-		}
-		if !found {
-			return fmt.Errorf("bench: placement seed %d %s: no recorded counter for lineage %d ≤ epoch %d",
-				r.cfg.Seed, where, pl.Lineage, g.Durable())
-		}
-	}
-	c, err := r.readCounter(pl)
-	if err != nil {
-		return fmt.Errorf("bench: placement seed %d %s: %w", r.cfg.Seed, where, err)
-	}
-	if c != want {
-		return fmt.Errorf("bench: placement seed %d %s: lineage %d counter %d, want %d — state not bit-identical",
-			r.cfg.Seed, where, pl.Lineage, c, want)
-	}
-	pids := g.PIDs()
-	p, err := pl.Primary().O.K.Process(pids[0])
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, vm.PageSize)
-	for pg := 1; pg <= placePages; pg++ {
-		if err := p.ReadMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), buf); err != nil {
-			return fmt.Errorf("bench: placement seed %d %s: paging lineage %d page %d: %w",
-				r.cfg.Seed, where, pl.Lineage, pg, err)
-		}
-		ref := recoveryPattern(pg, r.patternSeed[pl.Lineage])
-		for i := range buf {
-			if buf[i] != ref[i] {
-				return fmt.Errorf("bench: placement seed %d %s: lineage %d page %d byte %d differs",
-					r.cfg.Seed, where, pl.Lineage, pg, i)
-			}
-		}
-	}
-	r.rep.RestoresVerified++
-
-	// Scratch restore from the new primary's store: the image chain
-	// the promotion backfilled must be independently restorable.
-	var img *core.Image
-	var readTime time.Duration
-	for attempt := 0; attempt < 8; attempt++ { // ride out injected read faults
-		if img, readTime, err = pl.Primary().SB.Load(g.ID, g.Durable()); err == nil {
-			break
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("bench: placement seed %d %s: loading lineage %d epoch %d: %w",
-			r.cfg.Seed, where, pl.Lineage, g.Durable(), err)
-	}
-	clock := storage.NewClock()
-	k := kernel.NewWith(clock, vm.NewPhysMem(0))
-	o := core.NewOrchestrator(k)
-	ng, _, err := o.RestoreImage(img, readTime, core.RestoreOpts{})
-	if err != nil {
-		return fmt.Errorf("bench: placement seed %d %s: scratch restore of lineage %d: %w",
-			r.cfg.Seed, where, pl.Lineage, err)
-	}
-	npids := ng.PIDs()
-	if len(npids) == 0 {
-		return fmt.Errorf("bench: placement seed %d %s: scratch restore of lineage %d at epoch %d (group %d): image restored no processes",
-			r.cfg.Seed, where, pl.Lineage, img.Epoch, img.Group)
-	}
-	sp, err := k.Process(npids[0])
-	if err != nil {
-		return err
-	}
-	var b [8]byte
-	if err := sp.ReadMem(sp.HeapBase(), b[:]); err != nil {
-		return err
-	}
-	if got := binary.LittleEndian.Uint64(b[:]); got != want {
-		return fmt.Errorf("bench: placement seed %d %s: scratch restore of lineage %d: counter %d, want %d",
-			r.cfg.Seed, where, pl.Lineage, got, want)
-	}
-	r.rep.RestoresVerified++
-	return nil
-}
-
-// checkInvariants asserts zero anti-affinity violations and the
-// exactly-one-primary-at-max-gen fencing invariant for every lineage,
-// across every store in the fleet (dead ones included — their stale
-// claims must rank strictly below the promoted generation).
-func (r *placeRun) checkInvariants(where string) error {
-	if v := r.placer.AntiAffinityViolations(); len(v) != 0 {
-		r.rep.Violations += len(v)
-		return fmt.Errorf("bench: placement seed %d %s: anti-affinity violated: %v", r.cfg.Seed, where, v)
-	}
-	for _, pl := range r.placer.Placements() {
-		if _, ok := r.live(pl.Lineage); !ok {
-			continue
-		}
-		type claim struct {
-			who string
-			gen uint64
-		}
-		var claims []claim
-		var maxGen uint64
-		for _, sn := range r.nodes {
-			if gen, primary := sn.SB.Store().PrimaryGen(pl.Lineage); primary {
-				claims = append(claims, claim{sn.Name, gen})
-				if gen > maxGen {
-					maxGen = gen
-				}
-			}
-		}
-		n := 0
-		for _, cl := range claims {
-			if cl.gen == maxGen {
-				n++
-			}
-		}
-		if n != 1 {
-			return fmt.Errorf("bench: placement seed %d %s: lineage %d has %d primary claims at max generation %d (want exactly 1: %v)",
-				r.cfg.Seed, where, pl.Lineage, n, maxGen, claims)
-		}
-	}
-	return nil
-}
-
 // drainLeg decommissions the active store with the fewest residents:
 // every resident lineage live-migrates off, replica roles re-home, the
 // store fences, and the moved lineages stay bit-identical.
 func (r *placeRun) drainLeg() error {
-	resident := make(map[*core.StoreNode]int)
-	for _, pl := range r.placer.Placements() {
-		if _, ok := r.live(pl.Lineage); ok {
-			resident[pl.Primary()]++
-		}
-	}
+	resident := r.residents()
 	// Drain a store outside the dead victim's failure domain: with the
 	// victim's domain already short a store, draining inside it can
 	// leave lineages there with no anti-affine migration target.
@@ -628,7 +571,7 @@ func (r *placeRun) drainLeg() error {
 	}
 	evs, err := r.placer.Drain(target)
 	if err != nil {
-		return fmt.Errorf("bench: placement seed %d: draining %s: %w", r.cfg.Seed, target.Name, err)
+		return r.errorf("draining %s: %w", target.Name, err)
 	}
 	for _, ev := range evs {
 		if ev.Kind == "migrated" {
@@ -636,16 +579,16 @@ func (r *placeRun) drainLeg() error {
 		}
 	}
 	if target.State() != core.StoreFenced {
-		return fmt.Errorf("bench: placement seed %d: %s state %s after drain, want fenced",
-			r.cfg.Seed, target.Name, target.State())
+		return r.errorf("%s state %s after drain, want fenced",
+			target.Name, target.State())
 	}
 	for _, lin := range moved {
 		pl, ok := r.live(lin)
 		if !ok {
-			return fmt.Errorf("bench: placement seed %d: lineage %d lost by drain", r.cfg.Seed, lin)
+			return r.errorf("lineage %d lost by drain", lin)
 		}
 		if pl.Primary() == target {
-			return fmt.Errorf("bench: placement seed %d: lineage %d still on drained %s", r.cfg.Seed, lin, target.Name)
+			return r.errorf("lineage %d still on drained %s", lin, target.Name)
 		}
 		if err := r.verifyLineage(pl, "post-drain"); err != nil {
 			return err

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -10,8 +9,6 @@ import (
 	"aurora/internal/core"
 	"aurora/internal/kernel"
 	"aurora/internal/netback"
-	"aurora/internal/objstore"
-	"aurora/internal/storage"
 	"aurora/internal/vm"
 )
 
@@ -145,111 +142,54 @@ type QuorumChaosReport struct {
 	RestoresVerified int    // bit-identical restores checked (mid-run + final)
 }
 
-// quorumLink is one replica link of the harness (the shared topology
-// Wire built as a standalone Endpoint: its fault link, the backend on
-// the primary side, and the receiver standing in for the replica
-// machine).
-type quorumLink = Wire
-
 // quorumRun carries the harness state.
 type quorumRun struct {
 	cfg      QuorumChaosConfig
 	rep      *QuorumChaosReport
 	baseline bool
 
-	srcClock *storage.Clock
-	srcK     *kernel.Kernel
-	srcO     *core.Orchestrator
-	srcStore *core.StoreBackend
-
+	src   *Node
 	rs    *netback.ReplicaSet
-	links []*quorumLink
+	links []*Wire // standalone endpoints standing in for the replica machines
 
 	g           *core.Group
-	counterAt   map[uint64]uint64
-	lastDurable uint64
+	counterAt   counterLog
+	durable     durableLedger
 	maxReleased uint64
 	forceFull   bool
-}
-
-func (q *quorumRun) startServe(l *quorumLink) { l.startServe() }
-
-// resetLink re-establishes one replica link (the shared topology
-// Wire's dance: poison the serve loop, reap, drain, heal,
-// re-handshake).
-func (q *quorumRun) resetLink(l *quorumLink) error {
-	if err := l.reset(q.g.ID); err != nil {
-		return fmt.Errorf("bench: quorum seed %d: %w", q.cfg.Seed, err)
-	}
-	return nil
-}
-
-func (q *quorumRun) linkHealth(name string) (core.BackendHealthInfo, bool) {
-	for _, hi := range q.g.Health() {
-		if hi.Name == name {
-			return hi, true
-		}
-	}
-	return core.BackendHealthInfo{}, false
 }
 
 // healLink drives one link back to healthy with its catch-up queue
 // drained; other links in scripted outages keep failing, which is
 // fine — Resync probes them and moves on.
-func (q *quorumRun) healLink(l *quorumLink) error {
+func (q *quorumRun) healLink(l *Wire) error {
 	var last error
 	for round := 0; round < 12; round++ {
-		hi, ok := q.linkHealth(l.name)
+		hi, ok := l.health(q.g)
 		if ok && hi.State == core.BackendHealthy && hi.Pending == 0 {
 			return nil
 		}
-		if err := q.resetLink(l); err != nil {
-			return err
+		if err := l.reset(q.g.ID); err != nil {
+			return fmt.Errorf("bench: quorum seed %d: %w", q.cfg.Seed, err)
 		}
-		_ = q.srcO.Resync(q.g)
-		last = q.srcO.Sync(q.g)
+		_ = q.src.o.Resync(q.g)
+		last = q.src.o.Sync(q.g)
 	}
 	return fmt.Errorf("bench: quorum seed %d: link %s did not heal: %w", q.cfg.Seed, l.name, last)
 }
 
-// syncDurable advances the durable frontier to the barrier epoch,
-// ignoring the expected failures of links in scripted outages.
-func (q *quorumRun) syncDurable() error {
-	var last error
-	for round := 0; round < 12; round++ {
-		last = q.srcO.Sync(q.g)
-		if q.g.Durable() == q.g.Epoch() {
-			return nil
-		}
-	}
-	return fmt.Errorf("bench: quorum seed %d: durable stuck at %d (barrier %d): %w",
-		q.cfg.Seed, q.g.Durable(), q.g.Epoch(), last)
-}
-
-func (q *quorumRun) readCounter() (uint64, error) {
-	p, err := q.srcK.Process(q.g.PIDs()[0])
-	if err != nil {
-		return 0, err
-	}
-	var b [8]byte
-	if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
 // epoch runs one workload slice and checkpoints it.
 func (q *quorumRun) epoch() (uint64, error) {
-	if _, err := q.srcK.Run(q.cfg.StepsPerEpoch); err != nil {
+	if _, err := q.src.k.Run(q.cfg.StepsPerEpoch); err != nil {
 		return 0, err
 	}
-	counter, err := q.readCounter()
+	counter, err := readCounter(q.src.k, q.g)
 	if err != nil {
 		return 0, err
 	}
 	opts := core.CheckpointOpts{Full: q.forceFull}
 	q.forceFull = false
-	bd, err := q.srcO.Checkpoint(q.g, opts)
+	bd, err := q.src.o.Checkpoint(q.g, opts)
 	if err != nil {
 		return 0, err
 	}
@@ -263,49 +203,22 @@ func (q *quorumRun) epoch() (uint64, error) {
 
 // invariants checks durable monotonicity, the released watermark, the
 // degraded-not-down cap on partitioned links, and the
-// exactly-one-primary fencing invariant.
-func (q *quorumRun) invariants(where string, dstStore *core.StoreBackend) error {
-	d := q.g.Durable()
-	if d < q.lastDurable {
-		return fmt.Errorf("bench: quorum %s: durable regressed %d -> %d", where, q.lastDurable, d)
+// exactly-one-primary fencing invariant across src and any promoted
+// standby.
+func (q *quorumRun) invariants(where string, standby ...*Node) error {
+	if err := q.durable.observe(q.g.ID, q.g.Durable()); err != nil {
+		return fmt.Errorf("bench: quorum %s: %w", where, err)
 	}
-	q.lastDurable = d
-	for q.srcO.Released(q.g.ID, q.maxReleased+1) {
+	for q.src.o.Released(q.g.ID, q.maxReleased+1) {
 		q.maxReleased++
 	}
 	for _, l := range q.links {
-		if hi, ok := q.linkHealth(l.name); ok && hi.State == core.BackendDown {
+		if hi, ok := l.health(q.g); ok && hi.State == core.BackendDown {
 			return fmt.Errorf("bench: quorum %s: link %s marked down (must cap at degraded)", where, l.name)
 		}
 	}
-	type claim struct {
-		who string
-		gen uint64
-	}
-	var claims []claim
-	var maxGen uint64
-	add := func(who string, sb *core.StoreBackend) {
-		if sb == nil {
-			return
-		}
-		if gen, primary := sb.Store().PrimaryGen(q.g.ID); primary {
-			claims = append(claims, claim{who, gen})
-			if gen > maxGen {
-				maxGen = gen
-			}
-		}
-	}
-	add("src", q.srcStore)
-	add("dst", dstStore)
-	n := 0
-	for _, cl := range claims {
-		if cl.gen == maxGen {
-			n++
-		}
-	}
-	if n != 1 {
-		return fmt.Errorf("bench: quorum %s: %d stores claim primary at max generation %d (want exactly 1: %v)",
-			where, n, maxGen, claims)
+	if err := solePrimary(q.g.ID, append([]*Node{q.src}, standby...)...); err != nil {
+		return fmt.Errorf("bench: quorum %s: %w", where, err)
 	}
 	return nil
 }
@@ -313,51 +226,24 @@ func (q *quorumRun) invariants(where string, dstStore *core.StoreBackend) error 
 // verifyCounterState checks a group restored on k bit-for-bit against
 // the counter and pattern captured at epoch.
 func (q *quorumRun) verifyCounterState(k *kernel.Kernel, g *core.Group, epoch uint64, where string) error {
-	want, ok := q.counterAt[epoch]
-	if !ok {
-		return fmt.Errorf("bench: quorum %s: no recorded counter for epoch %d", where, epoch)
-	}
-	p, err := k.Process(g.PIDs()[0])
-	if err != nil {
+	if err := q.counterAt.verify(k, g, epoch, chaosPages, q.cfg.Seed); err != nil {
 		return fmt.Errorf("bench: quorum %s: %w", where, err)
-	}
-	var b [8]byte
-	if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-		return fmt.Errorf("bench: quorum %s: reading counter: %w", where, err)
-	}
-	if got := binary.LittleEndian.Uint64(b[:]); got != want {
-		return fmt.Errorf("bench: quorum %s: counter %d at epoch %d, want %d — restore not bit-identical", where, got, epoch, want)
-	}
-	buf := make([]byte, vm.PageSize)
-	for pg := 1; pg <= chaosPages; pg++ {
-		if err := p.ReadMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), buf); err != nil {
-			return fmt.Errorf("bench: quorum %s: paging page %d: %w", where, pg, err)
-		}
-		ref := recoveryPattern(pg, q.cfg.Seed)
-		for i := range buf {
-			if buf[i] != ref[i] {
-				return fmt.Errorf("bench: quorum %s: page %d byte %d differs — restore not bit-identical", where, pg, i)
-			}
-		}
 	}
 	return nil
 }
 
 // restoreFromMember restores the member's image at epoch on a scratch
 // machine and verifies it bit-identical.
-func (q *quorumRun) restoreFromMember(l *quorumLink, epoch uint64, where string) error {
+func (q *quorumRun) restoreFromMember(l *Wire, epoch uint64, where string) error {
 	img, err := l.recv.ImageAt(q.g.ID, epoch)
 	if err != nil {
 		return fmt.Errorf("bench: quorum %s: member %s epoch %d: %w", where, l.name, epoch, err)
 	}
-	clock := storage.NewClock()
-	k := kernel.NewWith(clock, vm.NewPhysMem(0))
-	o := core.NewOrchestrator(k)
-	ng, _, err := o.RestoreImage(img, 0, core.RestoreOpts{})
+	m, ng, err := scratchRestore(img, 0)
 	if err != nil {
 		return fmt.Errorf("bench: quorum %s: restoring from %s: %w", where, l.name, err)
 	}
-	if err := q.verifyCounterState(k, ng, epoch, where+" from "+l.name); err != nil {
+	if err := q.verifyCounterState(m.k, ng, epoch, where+" from "+l.name); err != nil {
 		return err
 	}
 	q.rep.RestoresVerified++
@@ -410,7 +296,8 @@ func runQuorum(cfg QuorumChaosConfig, baseline bool) (*QuorumChaosReport, error)
 		cfg:       cfg,
 		rep:       &QuorumChaosReport{Seed: cfg.Seed, Replicas: cfg.Replicas, W: cfg.W},
 		baseline:  baseline,
-		counterAt: make(map[uint64]uint64),
+		counterAt: make(counterLog),
+		durable:   make(durableLedger),
 	}
 
 	// Primary machine: fault-free local store + N replica links, all
@@ -421,12 +308,11 @@ func runQuorum(cfg QuorumChaosConfig, baseline bool) (*QuorumChaosReport, error)
 		Reorder: cfg.LinkReorder,
 		Corrupt: cfg.LinkCorrupt,
 	})
-	src := tp.Node("quorum-src", cfg.Seed, 0, 0)
-	q.srcClock, q.srcK, q.srcO, q.srcStore = src.clock, src.k, src.o, src.sb
+	q.src = tp.Node("quorum-src", cfg.Seed, 0, 0)
 
 	q.rs = netback.NewReplicaSet(cfg.W)
 	for i := 0; i < cfg.Replicas; i++ {
-		l := tp.Endpoint(fmt.Sprintf("replica%d", i), cfg.Seed*1000003+int64(i)*7919, src)
+		l := tp.Endpoint(fmt.Sprintf("replica%d", i), cfg.Seed*1000003+int64(i)*7919, q.src)
 		if i == cfg.Replicas-1 {
 			l.rb.SetLinkLatency(cfg.SlowLinkLatency)
 		}
@@ -434,44 +320,34 @@ func runQuorum(cfg QuorumChaosConfig, baseline bool) (*QuorumChaosReport, error)
 		q.links = append(q.links, l)
 	}
 
-	// Workload: the chaos counter plus the patterned working set.
-	p, err := q.srcK.Spawn(0, "quorum-app")
-	if err != nil {
-		return nil, err
-	}
-	p.SetProgram(&chaosCounter{addr: p.HeapBase()})
-	for pg := 1; pg <= chaosPages; pg++ {
-		if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), recoveryPattern(pg, cfg.Seed)); err != nil {
-			return nil, err
-		}
-	}
-	g, err := q.srcO.Persist("quorum-app", p)
+	// Workload: the counter plus the patterned working set.
+	g, err := spawnCounter(q.src.o, "quorum-app", chaosPages, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	q.g = g
-	q.srcO.Attach(g, q.srcStore)
+	q.src.o.Attach(g, q.src.sb)
 	if baseline {
 		for _, sl := range q.rs.Links() {
-			q.srcO.Attach(g, sl.RB)
+			q.src.o.Attach(g, sl.RB)
 		}
 	} else {
-		q.rs.AttachAll(q.srcO, g)
+		q.rs.AttachAll(q.src.o, g)
 	}
-	if err := q.srcStore.Store().SetPrimary(g.ID, g.Generation()); err != nil {
+	if err := q.src.sb.Store().SetPrimary(g.ID, g.Generation()); err != nil {
 		return nil, err
 	}
-	if err := q.srcStore.Store().Sync(); err != nil {
+	if err := q.src.sb.Store().Sync(); err != nil {
 		return nil, err
 	}
 	for _, l := range q.links {
-		if err := q.resetLink(l); err != nil {
-			return nil, err
+		if err := l.reset(q.g.ID); err != nil {
+			return nil, fmt.Errorf("bench: quorum seed %d: %w", cfg.Seed, err)
 		}
 	}
 
 	killIdx, partIdx := 1, cfg.Replicas-1
-	var killed, partitioned *quorumLink
+	var killed, partitioned *Wire
 	if cfg.KillAt > 0 && killIdx < len(q.links) {
 		killed = q.links[killIdx]
 	}
@@ -546,8 +422,8 @@ func runQuorum(cfg QuorumChaosConfig, baseline bool) (*QuorumChaosReport, error)
 		if _, err := q.epoch(); err != nil {
 			return nil, fmt.Errorf("bench: quorum seed %d: checkpoint %d: %w", cfg.Seed, i, err)
 		}
-		if err := q.syncDurable(); err != nil {
-			return nil, err
+		if err := syncDurable(q.src.o, q.g); err != nil {
+			return nil, fmt.Errorf("bench: quorum seed %d: %w", cfg.Seed, err)
 		}
 		// Under probabilistic link faults a healthy-scheduled link can
 		// drop its connection; keep those converging. Links inside a
@@ -556,13 +432,13 @@ func runQuorum(cfg QuorumChaosConfig, baseline bool) (*QuorumChaosReport, error)
 			if l.down {
 				continue
 			}
-			if hi, ok := q.linkHealth(l.name); ok && (hi.State != core.BackendHealthy || hi.Pending > 0) {
+			if hi, ok := l.health(q.g); ok && (hi.State != core.BackendHealthy || hi.Pending > 0) {
 				if err := q.healLink(l); err != nil {
 					return nil, err
 				}
 			}
 		}
-		if err := q.invariants(fmt.Sprintf("checkpoint %d", i), nil); err != nil {
+		if err := q.invariants(fmt.Sprintf("checkpoint %d", i)); err != nil {
 			return nil, err
 		}
 		if !baseline {
@@ -599,12 +475,8 @@ func runQuorum(cfg QuorumChaosConfig, baseline bool) (*QuorumChaosReport, error)
 	// member must be bit-identical.
 	lineage := q.g.ID
 	preFloor := q.g.Durable()
-	dstClock := storage.NewClock()
-	dstK := kernel.NewWith(dstClock, vm.NewPhysMem(0))
-	dstO := core.NewOrchestrator(dstK)
-	dstO.FlushWorkers = 1
-	dstStore := core.NewStoreBackend(objstore.Create(storage.NewMemDevice(storage.ParamsOptaneNVMe, dstClock), dstClock), dstK.Mem, dstClock)
-	prep, err := dstO.PromoteQuorum(q.rs.Sources(), lineage, dstStore, core.RestoreOpts{})
+	dst := NewNode("quorum-dst", 0, 0, 0, 0)
+	prep, err := dst.o.PromoteQuorum(q.rs.Sources(), lineage, dst.sb, core.RestoreOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: quorum seed %d: promotion: %w", cfg.Seed, err)
 	}
@@ -615,14 +487,14 @@ func runQuorum(cfg QuorumChaosConfig, baseline bool) (*QuorumChaosReport, error)
 		return nil, fmt.Errorf("bench: quorum seed %d: promotion floor %d loses released output (watermark %d)",
 			cfg.Seed, prep.Floor, q.maxReleased)
 	}
-	if err := q.verifyCounterState(dstK, prep.Group, prep.Floor, "promotion"); err != nil {
+	if err := q.verifyCounterState(dst.k, prep.Group, prep.Floor, "promotion"); err != nil {
 		return nil, err
 	}
 	q.rep.PromoteGen = prep.Gen
 	q.rep.Floor = prep.Floor
 	q.rep.Elected = prep.Elected
 	q.rep.Repaired = prep.Repaired
-	if err := q.invariants("after promotion", dstStore); err != nil {
+	if err := q.invariants("after promotion", dst); err != nil {
 		return nil, err
 	}
 	// Every member — including the killed-and-repaired one — restores

@@ -36,14 +36,6 @@ type RecoveryPoint struct {
 	Injected      int64         // faults the device actually injected
 }
 
-func recoveryPattern(page int, seed int64) []byte {
-	b := make([]byte, vm.PageSize)
-	for i := range b {
-		b[i] = byte(int64(page)*31 + int64(i)*7 + seed)
-	}
-	return b
-}
-
 // RecoverySweep measures time-to-recover for a lazy restore whose
 // primary store read-faults at each given rate, with a clean secondary
 // as the failover peer. Every run must end bit-correct — each
@@ -75,10 +67,8 @@ func RecoverySweep(ckpts int, rates []float64, seed int64) ([]RecoveryPoint, err
 				b[0]++
 				return p.WriteMem(p.HeapBase(), b[:])
 			}})
-		for pg := 1; pg <= recoveryPages; pg++ {
-			if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), recoveryPattern(pg, seed)); err != nil {
-				return nil, err
-			}
+		if err := writePages(p, recoveryPages, seed); err != nil {
+			return nil, err
 		}
 		g, err := o.Persist("recovery-touch", p)
 		if err != nil {
@@ -121,17 +111,8 @@ func RecoverySweep(ckpts int, rates []float64, seed int64) ([]RecoveryPoint, err
 		if got != want {
 			return nil, fmt.Errorf("bench: recovery sweep at rate %g: counter %v, want %v — recovery not bit-correct", rate, got, want)
 		}
-		buf := make([]byte, vm.PageSize)
-		for pg := 1; pg <= recoveryPages; pg++ {
-			if err := np.ReadMem(np.HeapBase()+vm.Addr(pg*vm.PageSize), buf); err != nil {
-				return nil, fmt.Errorf("bench: recovery sweep at rate %g: paging page %d: %w", rate, pg, err)
-			}
-			ref := recoveryPattern(pg, seed)
-			for i := range buf {
-				if buf[i] != ref[i] {
-					return nil, fmt.Errorf("bench: recovery sweep at rate %g: page %d byte %d differs — recovery not bit-correct", rate, pg, i)
-				}
-			}
+		if err := checkPages(np, recoveryPages, seed); err != nil {
+			return nil, fmt.Errorf("bench: recovery sweep at rate %g: %w", rate, err)
 		}
 		ttr := clock.Now() - start
 

@@ -1,16 +1,13 @@
 package bench
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
 	"aurora/internal/core"
-	"aurora/internal/kernel"
 	"aurora/internal/objstore"
 	"aurora/internal/storage"
-	"aurora/internal/vm"
 )
 
 // This file is the space-pressure harness: the checkpoint workload from
@@ -83,31 +80,20 @@ type SpaceReport struct {
 
 // spaceOutcome carries the live machine out of a run for verification.
 type spaceOutcome struct {
-	rep   *SpaceReport
-	clock *storage.Clock
-	k     *kernel.Kernel
-	o     *core.Orchestrator
-	sb    *core.StoreBackend
-	g     *core.Group
+	rep *SpaceReport
+	m   *Node
+	g   *core.Group
 
-	counterAt map[uint64]uint64 // epoch -> counter captured at its barrier
-	barrierAt map[uint64]int    // epoch -> barrier index that minted it
-	usedFirst int64             // device residency after the first durable epoch
+	counterAt counterLog     // epoch -> counter captured at its barrier
+	barrierAt map[uint64]int // epoch -> barrier index that minted it
+	usedFirst int64          // device residency after the first durable epoch
 }
 
 // runSpace executes the workload loop against a device of the given
 // byte capacity (0 = unbounded).
 func runSpace(cfg SpaceConfig, capacity int64) (*spaceOutcome, error) {
-	clock := storage.NewClock()
-	k := kernel.NewWith(clock, vm.NewPhysMem(0))
-	o := core.NewOrchestrator(k)
-	o.FlushWorkers = 1 // deterministic fault-schedule ordering
-
-	params := storage.ParamsOptaneNVMe
-	params.Capacity = capacity
-	fd := storage.NewFaultDevice(storage.NewMemDevice(params, clock), clock,
-		storage.FaultConfig{Seed: cfg.Seed, WriteErr: cfg.WriteErr})
-	sb := core.NewStoreBackend(objstore.Create(fd, clock), k.Mem, clock)
+	m := NewNode("space", cfg.Seed, cfg.WriteErr, 0, capacity)
+	clock, k, o, sb := m.clock, m.k, m.o, m.sb
 	var rec *core.Reclaimer
 	if capacity > 0 {
 		rec = core.NewReclaimer(o, sb, core.RetentionPolicy{KeepLast: cfg.KeepLast}, cfg.Marks)
@@ -117,17 +103,7 @@ func runSpace(cfg SpaceConfig, capacity int64) (*spaceOutcome, error) {
 		sb.SetReclaimer(rec)
 	}
 
-	p, err := k.Spawn(0, "space-app")
-	if err != nil {
-		return nil, err
-	}
-	p.SetProgram(&chaosCounter{addr: p.HeapBase()})
-	for pg := 1; pg <= spacePages; pg++ {
-		if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), recoveryPattern(pg, cfg.Seed)); err != nil {
-			return nil, err
-		}
-	}
-	g, err := o.Persist("space-app", p)
+	g, err := spawnCounter(o, "space-app", spacePages, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -140,17 +116,9 @@ func runSpace(cfg SpaceConfig, capacity int64) (*spaceOutcome, error) {
 			Capacity:       capacity,
 			Checkpoints:    cfg.Checkpoints,
 		},
-		clock: clock, k: k, o: o, sb: sb, g: g,
-		counterAt: make(map[uint64]uint64),
+		m: m, g: g,
+		counterAt: make(counterLog),
 		barrierAt: make(map[uint64]int),
-	}
-
-	readCounter := func() (uint64, error) {
-		var b [8]byte
-		if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(b[:]), nil
 	}
 
 	enospc := func(err error) error {
@@ -161,12 +129,12 @@ func runSpace(cfg SpaceConfig, capacity int64) (*spaceOutcome, error) {
 	}
 
 	t0 := clock.Now()
-	prevDurable := g.Durable()
+	durable := durableLedger{g.ID: g.Durable()}
 	for i := 1; i <= cfg.Checkpoints; i++ {
 		if _, err := k.Run(cfg.StepsPerEpoch); err != nil {
 			return nil, err
 		}
-		counter, err := readCounter()
+		counter, err := readCounter(k, g)
 		if err != nil {
 			return nil, err
 		}
@@ -179,11 +147,8 @@ func runSpace(cfg SpaceConfig, capacity int64) (*spaceOutcome, error) {
 			out.counterAt[g.Epoch()] = counter
 			out.barrierAt[g.Epoch()] = i
 		}
-		if d := g.Durable(); d < prevDurable {
-			return nil, fmt.Errorf("bench: space seed %d: durable epoch regressed %d -> %d at barrier %d",
-				cfg.Seed, prevDurable, d, i)
-		} else {
-			prevDurable = d
+		if err := durable.observe(g.ID, g.Durable()); err != nil {
+			return nil, fmt.Errorf("bench: space seed %d: barrier %d: %w", cfg.Seed, i, err)
 		}
 		if _, _, frac := sb.Store().Usage(); frac > out.rep.MaxUsage {
 			out.rep.MaxUsage = frac
@@ -216,7 +181,7 @@ func runSpace(cfg SpaceConfig, capacity int64) (*spaceOutcome, error) {
 		out.rep.CkptPerVSec = float64(out.rep.Admitted) / out.rep.VirtualTime.Seconds()
 	}
 	out.rep.Sheds, out.rep.EmergencySheds = g.Sheds()
-	out.rep.Injected = fd.InjectedCount()
+	out.rep.Injected = m.fd.InjectedCount()
 	out.rep.RetainedEpochs = len(sb.Store().Manifests(g.ID))
 	_, _, out.rep.FinalUsage = sb.Store().Usage()
 	if rec != nil {
@@ -235,38 +200,12 @@ func runSpace(cfg SpaceConfig, capacity int64) (*spaceOutcome, error) {
 // bit-for-bit against the counter recorded at that barrier and the
 // patterned working set.
 func (out *spaceOutcome) verifyEpoch(seed int64, epoch uint64) error {
-	want, ok := out.counterAt[epoch]
-	if !ok {
-		return fmt.Errorf("bench: space seed %d: retained epoch %d has no recorded barrier", seed, epoch)
-	}
-	ng, _, err := out.o.Restore(out.g, epoch, core.RestoreOpts{Validate: true})
+	ng, _, err := out.m.o.Restore(out.g, epoch, core.RestoreOpts{Validate: true})
 	if err != nil {
 		return fmt.Errorf("bench: space seed %d: restoring retained epoch %d: %w", seed, epoch, err)
 	}
-	p, err := out.k.Process(ng.PIDs()[0])
-	if err != nil {
-		return err
-	}
-	var b [8]byte
-	if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-		return err
-	}
-	if got := binary.LittleEndian.Uint64(b[:]); got != want {
-		return fmt.Errorf("bench: space seed %d: epoch %d restored counter %d, want %d — not bit-identical",
-			seed, epoch, got, want)
-	}
-	buf := make([]byte, vm.PageSize)
-	for pg := 1; pg <= spacePages; pg++ {
-		if err := p.ReadMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), buf); err != nil {
-			return err
-		}
-		ref := recoveryPattern(pg, seed)
-		for i := range buf {
-			if buf[i] != ref[i] {
-				return fmt.Errorf("bench: space seed %d: epoch %d page %d byte %d differs — not bit-identical",
-					seed, epoch, pg, i)
-			}
-		}
+	if err := out.counterAt.verify(out.m.k, ng, epoch, spacePages, seed); err != nil {
+		return fmt.Errorf("bench: space seed %d: retained %w", seed, err)
 	}
 	return nil
 }
@@ -276,7 +215,7 @@ func (out *spaceOutcome) verifyEpoch(seed int64, epoch uint64) error {
 // be exactly what the unbounded control run checkpointed at the same
 // workload barrier.
 func (out *spaceOutcome) verifyAgainstControl(seed int64, control *spaceOutcome) error {
-	ms := out.sb.Store().Manifests(out.g.ID)
+	ms := out.m.sb.Store().Manifests(out.g.ID)
 	if len(ms) == 0 {
 		return fmt.Errorf("bench: space seed %d: no epochs retained", seed)
 	}
@@ -307,7 +246,7 @@ func (out *spaceOutcome) verifyAgainstControl(seed int64, control *spaceOutcome)
 // (superblock + full image) plus the steady-state per-epoch growth.
 func (control *spaceOutcome) sizeFor(epochs int) int64 {
 	perEpoch := int64(0)
-	usedFinal, _, _ := control.sb.Store().Usage()
+	usedFinal, _, _ := control.m.sb.Store().Usage()
 	if control.rep.Admitted > 1 {
 		perEpoch = (usedFinal - control.usedFirst) / int64(control.rep.Admitted-1)
 	}
@@ -319,7 +258,7 @@ func (control *spaceOutcome) sizeFor(epochs int) int64 {
 	// amortizes into per-epoch growth. Since sub-block metadata packing
 	// made per-epoch growth a few KB, the reserve must be budgeted
 	// explicitly or it would eat a meaningful slice of the headroom.
-	return control.usedFirst + perEpoch*int64(epochs) + control.sb.Store().ControlOverhead()
+	return control.usedFirst + perEpoch*int64(epochs) + control.m.sb.Store().ControlOverhead()
 }
 
 // SpaceRun runs the unbounded control and then, if cfg bounds the

@@ -16,10 +16,9 @@ import (
 // simulates the same two primitives — a *machine* (its own virtual
 // clock, kernel, orchestrator, and fault-injecting store) and a *wire*
 // (a fault link carrying the acked replica protocol between a sender
-// backend and a far-side receiver). The placement, migrate, and quorum
-// engines used to each hardcode their own copies; Topology is the one
-// builder they all compose stores through, so a fix to the connect /
-// reset / teardown dance lands everywhere at once.
+// backend and a far-side receiver). Topology is the one builder every
+// engine composes them through, so a fix to the connect / reset /
+// teardown dance lands everywhere at once.
 
 // Topology builds machines and wires under one link-fault template.
 type Topology struct {
@@ -48,21 +47,24 @@ type Node struct {
 	sb    *core.StoreBackend
 }
 
-// Node builds a machine whose store device injects faults at the
-// given rates under its own seed.
+// Node builds a machine whose unbounded store device injects faults at
+// the given rates under its own seed.
 func (tp *Topology) Node(name string, seed int64, writeErr, readErr float64) *Node {
-	n := NewNode(name, seed, writeErr, readErr)
+	n := NewNode(name, seed, writeErr, readErr, 0)
 	tp.nodes = append(tp.nodes, n)
 	return n
 }
 
-// NewNode builds one standalone machine (no topology bookkeeping).
-func NewNode(name string, seed int64, writeErr, readErr float64) *Node {
+// NewNode builds one standalone machine (no topology bookkeeping) whose
+// store device holds capacity bytes (0 = unbounded).
+func NewNode(name string, seed int64, writeErr, readErr float64, capacity int64) *Node {
 	clock := storage.NewClock()
 	k := kernel.NewWith(clock, vm.NewPhysMem(0))
 	o := core.NewOrchestrator(k)
 	o.FlushWorkers = 1 // deterministic fan-out ordering
-	fd := storage.NewFaultDevice(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock,
+	params := storage.ParamsOptaneNVMe
+	params.Capacity = capacity
+	fd := storage.NewFaultDevice(storage.NewMemDevice(params, clock), clock,
 		storage.FaultConfig{Seed: seed, WriteErr: writeErr, ReadErr: readErr})
 	sb := core.NewStoreBackend(objstore.Create(fd, clock), k.Mem, clock)
 	return &Node{name: name, clock: clock, k: k, o: o, fd: fd, sb: sb}
@@ -157,6 +159,16 @@ func (w *Wire) reset(group uint64) error {
 		w.serving = false
 	}
 	return fmt.Errorf("bench: wire %s did not recover: %w", w.name, err)
+}
+
+// health returns the wire's backend health row in group g.
+func (w *Wire) health(g *core.Group) (core.BackendHealthInfo, bool) {
+	for _, hi := range g.Health() {
+		if hi.Name == w.rb.Name() {
+			return hi, true
+		}
+	}
+	return core.BackendHealthInfo{}, false
 }
 
 // connect performs the initial handshake, falling back to the full

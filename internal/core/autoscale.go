@@ -426,12 +426,13 @@ func (p *Placer) primaries(n *StoreNode) int {
 // stores claim the primary role for one lineage at the same max
 // generation. Caller holds a.mu.
 func (a *Autoscaler) audit() {
+	var stores []*StoreBackend
+	for _, n := range a.p.Stores() {
+		stores = append(stores, n.SB)
+	}
 	for _, pl := range a.p.Placements() {
 		g := pl.Group()
-		if g == nil {
-			continue
-		}
-		if _, err := a.p.Lookup(pl.Lineage); err != nil {
+		if _, err := a.p.Lookup(pl.Lineage); g == nil || err != nil {
 			continue // mid-evacuation or lost: audited once re-homed
 		}
 		d := g.Durable()
@@ -440,23 +441,9 @@ func (a *Autoscaler) audit() {
 				fmt.Sprintf("tick %d: lineage %d durable regressed %d → %d", a.tick, pl.Lineage, prev, d))
 		}
 		a.lastDurable[pl.Lineage] = d
-
-		maxGen := uint64(0)
-		claims := 0
-		for _, n := range a.p.Stores() {
-			gen, ok := n.SB.Store().PrimaryGen(pl.Lineage)
-			if !ok {
-				continue
-			}
-			if gen > maxGen {
-				maxGen, claims = gen, 1
-			} else if gen == maxGen {
-				claims++
-			}
-		}
-		if maxGen > 0 && claims != 1 {
+		if gen, top := PrimaryClaims(pl.Lineage, stores...); gen > 0 && len(top) != 1 {
 			a.violations = append(a.violations,
-				fmt.Sprintf("tick %d: lineage %d has %d primary claims at max gen %d", a.tick, pl.Lineage, claims, maxGen))
+				fmt.Sprintf("tick %d: lineage %d has %d primary claims at max gen %d", a.tick, pl.Lineage, len(top), gen))
 		}
 	}
 }

@@ -187,31 +187,15 @@ func (w *migWire) reset(group uint64) error {
 }
 
 // assertSolePrimary checks exactly one of the stores claims the
-// primary role at the max generation for lineage.
+// primary role at the max generation for lineage, and that it is want's.
 func assertSolePrimary(t *testing.T, lineage uint64, want *migMach, machs ...*migMach) {
 	t.Helper()
-	var maxGen uint64
-	type cl struct {
-		m   *migMach
-		gen uint64
-	}
-	var claims []cl
+	var stores []*core.StoreBackend
 	for _, m := range machs {
-		if gen, primary := m.sb.Store().PrimaryGen(lineage); primary {
-			claims = append(claims, cl{m, gen})
-			if gen > maxGen {
-				maxGen = gen
-			}
-		}
+		stores = append(stores, m.sb)
 	}
-	var top []*migMach
-	for _, c := range claims {
-		if c.gen == maxGen {
-			top = append(top, c.m)
-		}
-	}
-	if len(top) != 1 || top[0] != want {
-		t.Fatalf("primary claims at max gen %d = %d (want exactly the expected machine)", maxGen, len(top))
+	if gen, top := core.PrimaryClaims(lineage, stores...); len(top) != 1 || top[0] != want.sb {
+		t.Fatalf("primary claims at max gen %d = %d (want exactly the expected machine)", gen, len(top))
 	}
 }
 

@@ -226,23 +226,16 @@ func (r *placeRig) assertInvariants() {
 	if v := r.placer.AntiAffinityViolations(); len(v) != 0 {
 		r.t.Fatalf("anti-affinity violated: %v", v)
 	}
+	var stores []*core.StoreBackend
+	for _, sn := range r.nodes {
+		stores = append(stores, sn.SB)
+	}
 	for _, pl := range r.placer.Placements() {
 		if _, err := r.placer.Lookup(pl.Lineage); err != nil {
 			continue
 		}
-		var maxGen uint64
-		var claims int
-		for _, sn := range r.nodes {
-			if gen, ok := sn.SB.Store().PrimaryGen(pl.Lineage); ok {
-				if gen > maxGen {
-					maxGen, claims = gen, 1
-				} else if gen == maxGen {
-					claims++
-				}
-			}
-		}
-		if claims != 1 {
-			r.t.Fatalf("lineage %d: %d primary claims at max generation %d, want exactly 1", pl.Lineage, claims, maxGen)
+		if gen, top := core.PrimaryClaims(pl.Lineage, stores...); len(top) != 1 {
+			r.t.Fatalf("lineage %d: %d primary claims at max generation %d, want exactly 1", pl.Lineage, len(top), gen)
 		}
 	}
 }

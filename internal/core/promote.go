@@ -380,3 +380,16 @@ func (o *Orchestrator) DemoteStale(g *Group) ([]uint64, error) {
 	g.healthMu.Unlock()
 	return quarantined, nil
 }
+
+// PrimaryClaims returns the stores claiming lineage's primary role at
+// the highest claimed generation, and that generation.
+func PrimaryClaims(lineage uint64, stores ...*StoreBackend) (max uint64, top []*StoreBackend) {
+	for _, sb := range stores {
+		if gen, primary := sb.Store().PrimaryGen(lineage); primary && (gen > max || top == nil) {
+			max, top = gen, []*StoreBackend{sb}
+		} else if primary && gen == max {
+			top = append(top, sb)
+		}
+	}
+	return max, top
+}
