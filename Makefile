@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: check build vet test race bench faultcheck recoverycheck chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
+.PHONY: check build vet test race bench mmucheck faultcheck recoverycheck chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
 
 ## check: full gate — build, vet, race-enabled tests (the nested
-## perfbench module included: root ./... skips it), seeded fault
+## perfbench module included: root ./... skips it), the MMU data path
+## at one and four Ps, seeded fault
 ## matrix, crash-recovery harness, whole-system chaos sweep, space-
 ## pressure survival, fleet scale, quorum replication, live migration,
 ## multi-store placement, elastic autoscaling
@@ -13,6 +14,7 @@ check:
 	$(MAKE) vet
 	$(GO) test -race ./...
 	cd perfbench && $(GO) test -race ./...
+	$(MAKE) mmucheck
 	$(MAKE) faultcheck
 	$(MAKE) recoverycheck
 	$(MAKE) chaoscheck
@@ -38,6 +40,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## mmucheck: the simulated MMU's data path under the race detector,
+## three runs each at GOMAXPROCS=1 and =4 — the translation cache's
+## invalidation, hit/miss equivalence and zero-allocation tests, the
+## referenced-bit and brk races, and the interpreter and serverless
+## warm starts that run on it.
+mmucheck:
+	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/vm/ ./internal/kernel/ ./internal/interp/ ./internal/apps/faas/
+	GOMAXPROCS=4 $(GO) test -race -count=3 ./internal/vm/ ./internal/kernel/ ./internal/interp/ ./internal/apps/faas/
 
 ## faultcheck: seeded fault-matrix tests under the race detector — the
 ## self-healing flush pipeline, crash-consistent superblock, and replica

@@ -318,7 +318,13 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Obj
 	// Collect frame-backed pages along the chain (newest wins).
 	frames := make(map[int64]*vm.Frame)
 	bytesPages := make(map[int64][]byte)
-	refPages := make(map[int64]objstore.BlockRef)
+	// A store-loaded image carries the whole resolved page set in its
+	// own Refs, so that count sizes the map.
+	var nrefs int
+	if mi := img.Memory[oldID]; mi != nil {
+		nrefs = len(mi.Refs)
+	}
+	refPages := make(map[int64]objstore.BlockRef, nrefs)
 	havePage := func(idx int64) bool {
 		if _, ok := frames[idx]; ok {
 			return true

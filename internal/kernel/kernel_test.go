@@ -75,6 +75,37 @@ func TestSbrk(t *testing.T) {
 	}
 }
 
+// TestSbrkConcurrentWithReads grows the heap while another goroutine
+// reads just past its original end; under -race it fails if the
+// mapping's end moves without the address-space lock.
+func TestSbrkConcurrentWithReads(t *testing.T) {
+	k := New()
+	p, _ := k.Spawn(0, "app")
+	base := p.HeapBase()
+	if _, err := p.Sbrk(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 64; i++ {
+			if _, err := p.Sbrk(vm.PageSize); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	buf := make([]byte, 8)
+	for i := 0; i < 512; i++ {
+		// Unmapped until Sbrk reaches it: ErrNoMapping is expected.
+		_ = p.ReadMem(base+vm.Addr(1<<20)+vm.Addr(i%64)*vm.PageSize, buf)
+	}
+	<-done
+	if err := p.ReadMem(base+vm.Addr(1<<20)+63*vm.PageSize, buf); err != nil {
+		t.Fatalf("read inside the grown heap: %v", err)
+	}
+}
+
 func TestForkSemantics(t *testing.T) {
 	k := New()
 	parent, _ := k.Spawn(0, "app")

@@ -310,12 +310,8 @@ func (p *Process) Sbrk(delta int64) (vm.Addr, error) {
 	if nb < p.heap.Start {
 		return 0, vm.ErrBadRange
 	}
-	if nb > p.heap.End {
-		// Grow the backing object; the mapping's object window widens.
-		need := int64(nb - p.heap.Start)
-		p.heap.Obj.Grow(p.heap.Off + vm.RoundUpPage(need))
-		p.heap.End = p.heap.Start + vm.Addr(vm.RoundUpPage(need))
-	}
+	// Growing past the mapping's end widens it and its object window.
+	p.Space.GrowMapping(p.heap, nb)
 	p.brk = nb
 	return old, nil
 }

@@ -951,7 +951,6 @@ func (s *Store) ResolvePages(group, oid, epoch uint64) (map[int64]BlockRef, map[
 }
 
 func (s *Store) resolvePagesLocked(group, oid, epoch uint64) (map[int64]BlockRef, map[int64]uint32, error) {
-	pages := make(map[int64]BlockRef)
 	var heat map[int64]uint32
 	// Collect the group's epochs <= target, newest first.
 	var chain []*Record
@@ -972,7 +971,9 @@ func (s *Store) resolvePagesLocked(group, oid, epoch uint64) (map[int64]BlockRef
 	if len(chain) == 0 {
 		return nil, nil, fmt.Errorf("%w: object %d at epoch %d", ErrNoRecord, oid, epoch)
 	}
-	// Apply oldest-to-newest so newer pages win.
+	// Apply oldest-to-newest so newer pages win. The oldest record is
+	// the full one when the chain reaches it, so it sizes the map.
+	pages := make(map[int64]BlockRef, len(chain[len(chain)-1].Pages))
 	for i := len(chain) - 1; i >= 0; i-- {
 		for idx, ref := range chain[i].Pages {
 			pages[idx] = ref

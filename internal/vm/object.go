@@ -198,6 +198,41 @@ func (o *Object) InsertPage(pm *PhysMem, idx int64, f *Frame) {
 	}
 }
 
+// lookupTouch is Lookup and Touch in one critical section: it finds
+// the frame for page idx along the shadow chain and, when there is
+// one, bumps the page's heat counter.
+func (o *Object) lookupTouch(idx int64) *Frame {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	f, _ := o.lookupLocked(idx)
+	if f != nil {
+		o.heat[idx]++
+	}
+	return f
+}
+
+// writeAccess is the object half of the write fast path, run inside
+// the BeginWrite bracket in one critical section. A page that lives
+// only on swap reports its slot. Otherwise, when the PTE is writable
+// and page idx is resident in o itself and not COW-protected, it
+// marks the page dirty, bumps its heat and returns the frame; a nil
+// frame sends the caller down the full write fault.
+func (o *Object) writeAccess(idx int64, writable bool) (f *Frame, slot int64, swapped bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	f, owner := o.lookupLocked(idx)
+	if owner == nil {
+		slot, swapped = o.swapSlots[idx]
+		return nil, slot, swapped
+	}
+	if !writable || owner != o || o.protected[idx] {
+		return nil, 0, false
+	}
+	o.dirty[idx] = true
+	o.heat[idx]++
+	return f, 0, false
+}
+
 // Touch bumps the heat counter used by clock-driven restore prefetch.
 func (o *Object) Touch(idx int64) {
 	o.mu.Lock()

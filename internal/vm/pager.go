@@ -81,8 +81,7 @@ func (as *AddressSpace) AccessedAndClear(obj *Object, idx int64) bool {
 		}
 		base := m.Start + Addr((idx<<PageShift)-m.Off)
 		if base >= m.Start && base < m.End {
-			if e, ok := as.pt[base]; ok && e.accessed {
-				e.accessed = false
+			if e, ok := as.pt[base]; ok && e.accessed.Swap(false) {
 				ref = true
 			}
 		}

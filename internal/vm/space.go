@@ -56,20 +56,61 @@ func (m *Mapping) pageIndex(a Addr) int64 {
 // through the VM object (so shared pages can be replaced atomically for
 // all mappers, as a kernel pmap would); the pte tracks per-address-
 // space permission and the referenced bit used by the clock algorithm.
+// The two bits are atomic: the data path reads and sets them without
+// as.mu, while the barrier and the clock probe change them under it.
 type pte struct {
 	present  bool
-	writable bool
-	accessed bool
+	writable atomic.Bool
+	accessed atomic.Bool
+}
+
+// markAccessed sets the referenced bit. It stores only when the bit
+// is clear: the bit is set on nearly every access, and an atomic store
+// costs a full fence where a load costs nothing.
+func (e *pte) markAccessed() {
+	if !e.accessed.Load() {
+		e.accessed.Store(true)
+	}
+}
+
+// tlbBits sizes the translation cache: 1<<tlbBits direct-mapped slots.
+const tlbBits = 4
+
+// tlbEntry is one immutable translation snapshot, taken under as.mu by
+// a read fault that found a PTE already installed. It stays valid
+// while the space's generation still equals gen. It holds the object,
+// never the frame: frames are always looked up under the object lock,
+// so a COW fault by another mapper of the object is seen at once.
+type tlbEntry struct {
+	page Addr
+	prot Prot
+	obj  *Object
+	idx  int64
+	pte  *pte
+	gen  uint64
+}
+
+// tlbSlot hashes a page to its cache slot. The page number is
+// multiplied through so that text at 0x40_0000 and the mmap area at
+// 0x4000_0000, equal in their low bits, land in different slots.
+func tlbSlot(page Addr) uint64 {
+	return (uint64(page>>PageShift) * 0x9E37_79B9_7F4A_7C15) >> (64 - tlbBits)
 }
 
 // AddressSpace is a simulated process address space: an ordered set of
-// mappings plus a page table.
+// mappings plus a page table, fronted by a small translation cache.
 type AddressSpace struct {
 	ID uint64
 
 	mu   sync.Mutex
 	maps []*Mapping // sorted by Start, non-overlapping
 	pt   map[Addr]*pte
+
+	// gen is bumped under mu by every change a cached translation
+	// could miss: the mapping list, a mapping's Prot, Obj or End, or
+	// the removal of a PTE. Entries of an older generation are dead.
+	gen atomic.Uint64
+	tlb [1 << tlbBits]atomic.Pointer[tlbEntry]
 
 	pm    *PhysMem
 	meter *Meter
@@ -119,6 +160,7 @@ func (as *AddressSpace) Map(start Addr, length int64, prot Prot, obj *Object, of
 	m := &Mapping{Start: start, End: end, Obj: obj, Off: off, Prot: prot, Shared: shared, Name: name}
 	as.maps = append(as.maps, m)
 	sort.Slice(as.maps, func(i, j int) bool { return as.maps[i].Start < as.maps[j].Start })
+	as.gen.Add(1)
 	return m, nil
 }
 
@@ -172,6 +214,7 @@ func (as *AddressSpace) Unmap(start Addr, length int64) error {
 		}
 	}
 	as.maps = kept
+	as.gen.Add(1)
 	for _, m := range removed {
 		for a := m.Start; a < m.End; a += PageSize {
 			delete(as.pt, a)
@@ -214,11 +257,11 @@ func (as *AddressSpace) Protect(start Addr, prot Prot) error {
 	for _, m := range as.maps {
 		if m.Start == start {
 			m.Prot = prot
+			as.gen.Add(1)
 			// Downgrade any cached writable PTEs.
 			if prot&ProtWrite == 0 {
 				for a := m.Start; a < m.End; a += PageSize {
-					if p, ok := as.pt[a]; ok && p.writable {
-						p.writable = false
+					if p, ok := as.pt[a]; ok && p.writable.Swap(false) {
 						as.meter.ChargePTE(1)
 					}
 				}
@@ -227,6 +270,21 @@ func (as *AddressSpace) Protect(start Addr, prot Prot) error {
 		}
 	}
 	return ErrNoMapping
+}
+
+// GrowMapping widens m to end at end, rounded up to a page, and grows
+// its object to back the new range; it never shrinks. This is the
+// heap's brk path.
+func (as *AddressSpace) GrowMapping(m *Mapping, end Addr) {
+	end = Addr(RoundUpPage(int64(end)))
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	if end <= m.End {
+		return
+	}
+	m.Obj.Grow(m.Off + int64(end-m.Start))
+	m.End = end
+	as.gen.Add(1)
 }
 
 // Read copies len(p) bytes from the address space starting at addr.
@@ -281,29 +339,15 @@ func zero(p []byte) {
 // object is returned with its write bracket held (Object.BeginWrite);
 // the caller must EndWrite after copying the data.
 func (as *AddressSpace) fault(pageBase Addr, write bool) (*Frame, *Object, error) {
-	as.mu.Lock()
-	m := as.findLocked(pageBase)
-	if m == nil {
-		as.mu.Unlock()
-		return nil, nil, ErrNoMapping
+	obj, idx, entry, err := as.translate(pageBase, write)
+	if err != nil {
+		return nil, nil, err
 	}
-	if write && m.Prot&ProtWrite == 0 {
-		as.mu.Unlock()
-		return nil, nil, ErrProtection
-	}
-	if !write && m.Prot&ProtRead == 0 {
-		as.mu.Unlock()
-		return nil, nil, ErrProtection
-	}
-	obj := m.Obj
-	idx := m.pageIndex(pageBase)
-	entry, havePTE := as.pt[pageBase]
-	as.mu.Unlock()
 
 	if !write {
 		// Read path: soft fault to install the PTE, then read through
 		// the object (possibly its shadow chain).
-		f, owner := obj.Lookup(idx)
+		f := obj.lookupTouch(idx)
 		if f == nil {
 			if slot, swapped := obj.SwapSlot(idx); swapped {
 				return nil, nil, &SwapFault{Obj: obj, Page: idx, Slot: slot}
@@ -321,14 +365,12 @@ func (as *AddressSpace) fault(pageBase Addr, write bool) (*Frame, *Object, error
 			}
 			return nil, nil, nil // zero-fill read, no allocation
 		}
-		if !havePTE {
+		if entry == nil {
 			as.installPTE(pageBase, false)
 			as.meter.ChargeFault()
 		} else {
-			entry.accessed = true
+			entry.markAccessed()
 		}
-		_ = owner
-		obj.Touch(idx)
 		return f, nil, nil
 	}
 
@@ -336,25 +378,17 @@ func (as *AddressSpace) fault(pageBase Addr, write bool) (*Frame, *Object, error
 	// barrier must not intervene, or the copy could mutate a frame the
 	// barrier already captured.
 	obj.BeginWrite()
-	if _, swapped := obj.SwapSlot(idx); swapped {
-		if _, resident := obj.Lookup(idx); resident == nil {
-			if slot, ok := obj.SwapSlot(idx); ok {
-				obj.EndWrite()
-				return nil, nil, &SwapFault{Obj: obj, Page: idx, Slot: slot, Write: true}
-			}
-		}
+	// Fast path: a writable PTE may still be stale, because a barrier
+	// can COW-protect the page after the PTE was cached; writeAccess
+	// checks the object's protection under its lock.
+	f, slot, swapped := obj.writeAccess(idx, entry != nil && entry.writable.Load())
+	if swapped {
+		obj.EndWrite()
+		return nil, nil, &SwapFault{Obj: obj, Page: idx, Slot: slot, Write: true}
 	}
-	if havePTE && entry.writable {
-		// Fast path: but the page may have been COW-protected by a
-		// barrier after this PTE was cached; ProtectObject clears the
-		// writable bit, so reaching here means the page is writable.
-		f, owner := obj.Lookup(idx)
-		if f != nil && owner == obj && !obj.IsProtected(idx) {
-			entry.accessed = true
-			obj.MarkDirty(idx)
-			obj.Touch(idx)
-			return f, obj, nil
-		}
+	if f != nil {
+		entry.markAccessed()
+		return f, obj, nil
 	}
 
 	as.meter.ChargeFault()
@@ -372,7 +406,7 @@ func (as *AddressSpace) fault(pageBase Addr, write bool) (*Frame, *Object, error
 	}
 
 	// Resident in this object, or shadow-chain / zero-fill allocation.
-	f, _, err := obj.EnsurePage(as.pm, idx, as.meter)
+	f, _, err = obj.EnsurePage(as.pm, idx, as.meter)
 	if err != nil {
 		obj.EndWrite()
 		return nil, nil, err
@@ -383,6 +417,42 @@ func (as *AddressSpace) fault(pageBase Addr, write bool) (*Frame, *Object, error
 	return f, obj, nil
 }
 
+// translate resolves pageBase to its object page and installed PTE
+// (nil when there is none), enforcing the mapping's protection. A hit
+// in the translation cache takes no lock and reads no Mapping field;
+// a miss searches the mapping list under as.mu. Only a read that finds
+// a PTE installed fills the cache: writes (and hits) reuse what reads
+// cached, so a store sweeping fresh pages allocates no entries.
+func (as *AddressSpace) translate(pageBase Addr, write bool) (*Object, int64, *pte, error) {
+	slot := &as.tlb[tlbSlot(pageBase)]
+	if e := slot.Load(); e != nil && e.page == pageBase && e.gen == as.gen.Load() {
+		return e.obj, e.idx, e.pte, checkProt(e.prot, write)
+	}
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	m := as.findLocked(pageBase)
+	if m == nil {
+		return nil, 0, nil, ErrNoMapping
+	}
+	if err := checkProt(m.Prot, write); err != nil {
+		return nil, 0, nil, err
+	}
+	idx := m.pageIndex(pageBase)
+	entry := as.pt[pageBase]
+	if entry != nil && !write {
+		slot.Store(&tlbEntry{page: pageBase, prot: m.Prot, obj: m.Obj, idx: idx, pte: entry, gen: as.gen.Load()})
+	}
+	return m.Obj, idx, entry, nil
+}
+
+// checkProt reports whether prot permits a read or a write.
+func checkProt(prot Prot, write bool) error {
+	if write && prot&ProtWrite == 0 || !write && prot&ProtRead == 0 {
+		return ErrProtection
+	}
+	return nil
+}
+
 func (as *AddressSpace) installPTE(pageBase Addr, writable bool) {
 	as.mu.Lock()
 	e, ok := as.pt[pageBase]
@@ -391,8 +461,8 @@ func (as *AddressSpace) installPTE(pageBase Addr, writable bool) {
 		as.pt[pageBase] = e
 	}
 	e.present = true
-	e.writable = writable
-	e.accessed = true
+	e.writable.Store(writable)
+	e.accessed.Store(true)
 	as.mu.Unlock()
 	as.meter.ChargePTE(1)
 }
@@ -414,8 +484,7 @@ func (as *AddressSpace) ProtectObject(obj *Object, pages map[int64]*Frame) int64
 			if _, ok := pages[idx]; !ok {
 				continue
 			}
-			if e, ok := as.pt[a]; ok && e.writable {
-				e.writable = false
+			if e, ok := as.pt[a]; ok && e.writable.Swap(false) {
 				ops++
 			}
 		}
@@ -437,6 +506,7 @@ func (as *AddressSpace) InvalidateObjectPage(obj *Object, idx int64) {
 		if base >= m.Start && base < m.End {
 			if _, ok := as.pt[base]; ok {
 				delete(as.pt, base)
+				as.gen.Add(1)
 				as.meter.ChargePTE(1)
 			}
 		}
@@ -485,8 +555,7 @@ func (as *AddressSpace) Fork() *AddressSpace {
 			// Invalidate parent's writable PTEs for this mapping: the
 			// next write must COW up into the new shadow.
 			for a := m.Start; a < m.End; a += PageSize {
-				if e, ok := as.pt[a]; ok && e.writable {
-					e.writable = false
+				if e, ok := as.pt[a]; ok && e.writable.Swap(false) {
 					as.meter.ChargePTE(1)
 				}
 			}
@@ -495,6 +564,7 @@ func (as *AddressSpace) Fork() *AddressSpace {
 		child.maps = append(child.maps, cm)
 	}
 	sort.Slice(child.maps, func(i, j int) bool { return child.maps[i].Start < child.maps[j].Start })
+	as.gen.Add(1) // private mappings now point at new shadows
 	return child
 }
 
