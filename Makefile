@@ -1,32 +1,29 @@
 GO ?= go
 
-.PHONY: check build vet test race bench mmucheck faultcheck recoverycheck chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
+.PHONY: check build perfbench-build vet test race perfbench-race bench mmucheck faultcheck recoverycheck chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
 
 ## check: full gate — build, vet, race-enabled tests (the nested
 ## perfbench module included: root ./... skips it), the MMU data path
 ## at one and four Ps, seeded fault
 ## matrix, crash-recovery harness, whole-system chaos sweep, space-
 ## pressure survival, fleet scale, quorum replication, live migration,
-## multi-store placement, elastic autoscaling
+## multi-store placement, elastic autoscaling. Every step runs even
+## when an earlier one fails; check then exits non-zero, naming each
+## failed step.
+CHECK_STEPS = build perfbench-build vet race perfbench-race mmucheck faultcheck recoverycheck \
+	chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
+
 check:
-	$(GO) build ./...
-	cd perfbench && $(GO) build ./...
-	$(MAKE) vet
-	$(GO) test -race ./...
-	cd perfbench && $(GO) test -race ./...
-	$(MAKE) mmucheck
-	$(MAKE) faultcheck
-	$(MAKE) recoverycheck
-	$(MAKE) chaoscheck
-	$(MAKE) spacecheck
-	$(MAKE) fleetcheck
-	$(MAKE) quorumcheck
-	$(MAKE) migratecheck
-	$(MAKE) placecheck
-	$(MAKE) scalecheck
+	@failed=; for step in $(CHECK_STEPS); do \
+		$(MAKE) --no-print-directory $$step || failed="$$failed $$step"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "check: failed steps:$$failed" >&2; exit 1; fi
 
 build:
 	$(GO) build ./...
+
+perfbench-build:
+	cd perfbench && $(GO) build ./...
 
 ## vet: go vet plus the gofmt gate (no file may need reformatting),
 ## over the root module and the nested perfbench module
@@ -40,6 +37,9 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+perfbench-race:
+	cd perfbench && $(GO) test -race ./...
 
 ## mmucheck: the simulated MMU's data path under the race detector,
 ## three runs each at GOMAXPROCS=1 and =4 — the translation cache's

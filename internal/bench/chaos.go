@@ -167,31 +167,19 @@ func (c *chaosRun) syncDurable() error {
 	return nil
 }
 
-// heal drives every sick backend of the current group back to healthy:
-// reconnect the link if the replica lost it, then force a resync and a
-// sync, repeating — under probabilistic faults a round can fail and a
-// later one succeed.
+// heal drives every sick backend of the current group back to healthy.
 func (c *chaosRun) heal() error {
-	var last error
-	for round := 0; round < 12; round++ {
-		sick := false
+	if err := heal(c.src.o, c.g, c.w, func() bool {
 		for _, hi := range c.g.Health() {
 			if hi.State != core.BackendHealthy || hi.Pending > 0 {
-				sick = true
+				return false
 			}
 		}
-		if !sick {
-			return nil
-		}
-		if hi, ok := c.w.health(c.g); ok && (hi.State != core.BackendHealthy || hi.Pending > 0) {
-			if err := c.resetLink(); err != nil {
-				return err
-			}
-		}
-		_ = c.src.o.Resync(c.g)
-		last = c.src.o.Sync(c.g)
+		return true
+	}); err != nil {
+		return fmt.Errorf("bench: chaos seed %d: %w", c.cfg.Seed, err)
 	}
-	return fmt.Errorf("bench: chaos seed %d: group %d did not heal: %w", c.cfg.Seed, c.g.ID, last)
+	return nil
 }
 
 // invariants re-checks the standing invariants on the source line.
@@ -482,7 +470,7 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 
 	// Phase 3 — the primary is declared permanently dead; the standby
 	// promotes the replica over its own, so far empty, store.
-	prep, err := dst.o.Promote(c.w.recv, lineage, dst.sb, core.RestoreOpts{})
+	prep, err := dst.o.Promote([]core.ReplicaSource{c.w.recv}, lineage, dst.sb, core.RestoreOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: chaos seed %d: promotion: %w", cfg.Seed, err)
 	}

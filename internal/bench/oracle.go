@@ -203,6 +203,27 @@ func syncDurable(o *core.Orchestrator, g *core.Group) error {
 	return fmt.Errorf("durable frontier stuck at %d (barrier %d): %w", g.Durable(), g.Epoch(), last)
 }
 
+// heal drives g back to health over wire w: each round, until healthy
+// holds, w is reset unless its own backend is healthy and caught up,
+// then g is resynced and synced. Under probabilistic faults a round
+// can fail and a later one succeed.
+func heal(o *core.Orchestrator, g *core.Group, w *Wire, healthy func() bool) error {
+	var last error
+	for round := 0; round < 12; round++ {
+		if healthy() {
+			return nil
+		}
+		if hi, ok := w.health(g); !ok || hi.State != core.BackendHealthy || hi.Pending > 0 {
+			if err := w.reset(g.ID); err != nil {
+				return err
+			}
+		}
+		_ = o.Resync(g)
+		last = o.Sync(g)
+	}
+	return fmt.Errorf("group %d did not heal over %s: %w", g.ID, w.name, last)
+}
+
 // admitCheckpoint checkpoints g until admission control admits the
 // barrier. Shedding bounds checkpoint frequency, never progress: before
 // each retry, retry (when non-nil) runs more of the workload, so the

@@ -163,19 +163,13 @@ type quorumRun struct {
 // drained; other links in scripted outages keep failing, which is
 // fine — Resync probes them and moves on.
 func (q *quorumRun) healLink(l *Wire) error {
-	var last error
-	for round := 0; round < 12; round++ {
+	if err := heal(q.src.o, q.g, l, func() bool {
 		hi, ok := l.health(q.g)
-		if ok && hi.State == core.BackendHealthy && hi.Pending == 0 {
-			return nil
-		}
-		if err := l.reset(q.g.ID); err != nil {
-			return fmt.Errorf("bench: quorum seed %d: %w", q.cfg.Seed, err)
-		}
-		_ = q.src.o.Resync(q.g)
-		last = q.src.o.Sync(q.g)
+		return ok && hi.State == core.BackendHealthy && hi.Pending == 0
+	}); err != nil {
+		return fmt.Errorf("bench: quorum seed %d: %w", q.cfg.Seed, err)
 	}
-	return fmt.Errorf("bench: quorum seed %d: link %s did not heal: %w", q.cfg.Seed, l.name, last)
+	return nil
 }
 
 // epoch runs one workload slice and checkpoints it.
@@ -476,7 +470,7 @@ func runQuorum(cfg QuorumChaosConfig, baseline bool) (*QuorumChaosReport, error)
 	lineage := q.g.ID
 	preFloor := q.g.Durable()
 	dst := NewNode("quorum-dst", 0, 0, 0, 0)
-	prep, err := dst.o.PromoteQuorum(q.rs.Sources(), lineage, dst.sb, core.RestoreOpts{})
+	prep, err := dst.o.Promote(q.rs.Sources(), lineage, dst.sb, core.RestoreOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: quorum seed %d: promotion: %w", cfg.Seed, err)
 	}

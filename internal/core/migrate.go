@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"aurora/internal/storage"
@@ -19,15 +20,11 @@ import (
 //	           Iterates until the target's contiguous floor has caught
 //	           the source epoch.
 //	blackout   One final delta under a single serialization barrier,
-//	           flushed inline to every backend (source store and link),
-//	           then a generation-fenced handover: a fresh generation is
-//	           minted above every fence any party has witnessed, the
-//	           target adopts it (over the wire when the link supports
-//	           in-band handoff frames), the target store claims the
-//	           primary role at it, and the source is fenced below it —
-//	           a zombie source can never re-advance durable, because
-//	           both the receiver and the stores reject its stale
-//	           generation with ErrStaleGeneration.
+//	           flushed inline to every backend, then the handover
+//	           (handover.go) onto the target store, its fence announced
+//	           in-band when the link supports handoff frames; the source
+//	           is fenced below the minted generation, so the receiver
+//	           and the stores reject a zombie source's flushes.
 //	lazy tail  The target resumes immediately from a lazy restore of
 //	           the floor image; cold pages are demand-paged through the
 //	           pagesource failover path — target store first, then the
@@ -44,11 +41,9 @@ import (
 // one errors.Is/As chain answers "did the migration abort", "was it a
 // fencing rejection", and "which phase died".
 //
-// Hot standby is the same machine kept perpetually in pre-copy:
-// StandbyRound ships and drains epochs on the source's checkpoint
-// cadence, and PromoteStandby performs the blackout-less unplanned
-// handover — fence, backfill, lazy restore, primary claim — measuring
-// time-to-recovery on the target clock.
+// Hot standby is the same machine kept perpetually in pre-copy;
+// PromoteStandby runs the handover without a blackout after the
+// source dies, measuring time-to-recovery on the target clock.
 
 // ErrMigrationAborted is the identity for migration failures: every
 // error returned by a Migrator phase wraps it (via MigrationError), so
@@ -265,58 +260,50 @@ func (m *Migrator) converge(phase MigrationPhase) error {
 	})
 }
 
-// backfillDst drains every epoch the target's receiver holds (up to
-// its contiguous floor) into the target store, so the handover restore
-// reads locally and the lazy tail starts warm. Idempotent: epochs the
-// store already has are skipped.
-func (m *Migrator) backfillDst(phase MigrationPhase) error {
-	if m.DstStore == nil {
-		return nil
-	}
-	sid := m.sid()
-	floor := m.Target.ContiguousEpoch(sid)
-	have := make(map[uint64]bool)
-	for _, ep := range m.DstStore.Epochs(sid) {
-		have[ep] = true
-	}
-	for _, ep := range m.Target.ReplicaEpochs(sid) {
-		if ep > floor || have[ep] {
-			continue
-		}
-		img, err := m.Target.ImageAt(sid, ep)
-		if err != nil {
-			return m.fail(phase, err)
-		}
-		if err := m.attempt(phase, m.Dst.K.Clock, false, func() error {
-			_, ferr := m.DstStore.Flush(img)
-			return ferr
-		}); err != nil {
-			return err
-		}
-		m.report.Backfilled++
-	}
-	return nil
+// retrier is the migration's retry policy for target store operations
+// in phase.
+func (m *Migrator) retrier(phase MigrationPhase) func(func() error) error {
+	return func(op func() error) error { return m.attempt(phase, m.Dst.K.Clock, false, op) }
 }
 
-// mintGen returns a generation above every fence any party to the
-// migration has witnessed, on either key: the handover generation.
-func (m *Migrator) mintGen() uint64 {
-	gen := m.G.Generation()
-	sid, lin := m.sid(), m.lineage()
-	if fg := m.Target.FenceGen(sid); fg > gen {
-		gen = fg
+// handover starts the shared handover onto the target store with the
+// receiver as the sole candidate, elected at its contiguous floor.
+func (m *Migrator) handover(phase MigrationPhase) (*handover, error) {
+	h := &handover{o: m.Dst, dst: m.DstStore, lineage: m.lineage(), stream: m.sid(),
+		cands: []ReplicaSource{m.Target}, retry: m.retrier(phase)}
+	if err := h.elect(); err != nil {
+		return nil, m.fail(phase, err)
 	}
-	for _, sb := range []*StoreBackend{m.SrcStore, m.DstStore} {
-		if sb == nil {
-			continue
-		}
-		for _, key := range []uint64{sid, lin} {
-			if fg := sb.Store().FenceGen(key); fg > gen {
-				gen = fg
-			}
-		}
+	return h, nil
+}
+
+// complete runs the handover's last three steps: the receiver's epochs
+// are drained into the target store, floor is restored lazily from
+// there with the source store, the receiver and TailPeers as demand-
+// paging peers (the cold tail pages in over the pagesource failover
+// path with read-repair onto the target store), and the target store
+// claims the role. Restore failures carry restorePhase.
+func (m *Migrator) complete(h *handover, floor uint64, restorePhase MigrationPhase) error {
+	err := h.backfill()
+	m.report.Backfilled += h.backfilled
+	if err != nil {
+		return err
 	}
-	return gen + 1
+	var peers []BlockProvider
+	if m.SrcStore != nil {
+		peers = append(peers, m.SrcStore.Store())
+	}
+	if bp, ok := m.Target.(BlockProvider); ok {
+		peers = append(peers, bp)
+	}
+	peers = append(peers, m.TailPeers...)
+	err = h.restore(m.retrier(restorePhase), func() (*Image, time.Duration, error) {
+		return m.DstStore.LoadLazy(m.sid(), floor)
+	}, RestoreOpts{Lazy: !m.Cfg.EagerTail, Prefetch: m.Cfg.Prefetch, Name: m.Cfg.Name}, peers)
+	if err != nil {
+		return err
+	}
+	return h.claim(h.g)
 }
 
 // Start attaches the migration link (if it is not already a backend
@@ -327,14 +314,7 @@ func (m *Migrator) Start() error {
 	if m.started {
 		return nil
 	}
-	attached := false
-	for _, b := range m.G.Backends() {
-		if b == m.Link || b.Name() == m.Link.Name() {
-			attached = true
-			break
-		}
-	}
-	if !attached {
+	if !slices.ContainsFunc(m.G.Backends(), func(b Backend) bool { return b == m.Link || b.Name() == m.Link.Name() }) {
 		m.Src.Attach(m.G, m.Link)
 		m.attachedLink = true
 	}
@@ -371,10 +351,14 @@ func (m *Migrator) PreCopyRound(workload func() error) (uint64, error) {
 	if err := m.converge(PhasePreCopy); err != nil {
 		return m.residual(), err
 	}
-	if err := m.backfillDst(PhasePreCopy); err != nil {
-		return m.residual(), err
+	// Drain shipped epochs into the target store: the handover's
+	// backfill, run early so the blackout backfill is tiny.
+	h, err := m.handover(PhasePreCopy)
+	if err == nil {
+		err = h.backfill()
+		m.report.Backfilled += h.backfilled
 	}
-	return m.residual(), nil
+	return m.residual(), err
 }
 
 // residual is the epoch gap between the source and the target's
@@ -433,15 +417,19 @@ func (m *Migrator) Cutover() (*MigrateReport, error) {
 	m.report.Floor = floor
 
 	// --- Handover: fence first, then flip. ---
-	newGen := m.mintGen()
+	h, err := m.handover(PhaseHandover)
+	if err != nil {
+		return nil, err
+	}
+	newGen := h.mint([]uint64{m.G.Generation()}, m.SrcStore)
 	m.report.Gen = newGen
 	announced := false
-	err := m.attempt(PhaseHandover, m.Src.K.Clock, true, func() error {
+	err = m.attempt(PhaseHandover, m.Src.K.Clock, true, func() error {
 		announced = true
 		if ha, ok := m.Link.(HandoffAnnouncer); ok {
 			return ha.Handoff(sid, newGen, floor)
 		}
-		m.Target.AdoptFence(sid, newGen)
+		h.fence()
 		return nil
 	})
 	if err != nil {
@@ -450,113 +438,28 @@ func (m *Migrator) Cutover() (*MigrateReport, error) {
 		return nil, m.abort(err, newGen, announced)
 	}
 
+	// The claim is the commit point: from there the target owns the
+	// lineage even if the source dies mid-fence.
 	dstSW := m.Dst.K.Clock.Watch()
-	if err := m.backfillDst(PhaseHandover); err != nil {
-		return nil, m.abort(err, newGen, announced)
-	}
-	ng, err := m.restoreOnDst(floor, newGen, PhaseHandover)
-	if err != nil {
-		return nil, m.abort(err, newGen, announced)
-	}
-
-	// Commit point: the target store claims the primary role at the
-	// new generation, persisted through its superblock. From here the
-	// target owns the lineage even if the source dies mid-fence.
-	if err := m.claimDst(ng, newGen); err != nil {
-		m.teardownDst(ng)
+	if err := m.complete(h, floor, PhaseHandover); err != nil {
 		return nil, m.abort(err, newGen, announced)
 	}
 	m.report.Handover = dstSW.Elapsed()
 	m.report.Blackout = m.report.SrcStop + m.report.Handover
-	m.report.Group = ng
+	m.report.Group = h.g
 
 	// Fence the source and retire it: migration moves, it does not
 	// copy. Best-effort past the commit point — the target's higher
 	// generation already outranks anything a zombie source can claim.
 	m.fenceSource(newGen, floor)
+	m.Src.retire(m.G)
 	rep := m.report
 	return &rep, nil
 }
 
-// claimDst persists the target store's primary claim at gen (the
-// commit point), retrying transient store faults.
-func (m *Migrator) claimDst(ng *Group, gen uint64) error {
-	if m.DstStore == nil {
-		return nil
-	}
-	lin := m.lineage()
-	return m.attempt(PhaseHandover, m.Dst.K.Clock, false, func() error {
-		if err := m.DstStore.Store().SetPrimary(lin, gen); err != nil {
-			return err
-		}
-		return m.Dst.syncWithReclaim(m.DstStore)
-	})
-}
-
-// restoreOnDst restores the floor image on the target at gen: a lazy
-// restore from the target store with the source store, the receiver,
-// and TailPeers wired as demand-paging peers, so the cold tail pages
-// in over the pagesource failover path with read-repair onto the
-// target store.
-func (m *Migrator) restoreOnDst(floor, gen uint64, phase MigrationPhase) (*Group, error) {
-	sid := m.sid()
-	var ng *Group
-	err := m.attempt(phase, m.Dst.K.Clock, false, func() error {
-		var img *Image
-		var readTime time.Duration
-		var err error
-		if m.DstStore != nil {
-			img, readTime, err = m.DstStore.LoadLazy(sid, floor)
-		} else {
-			img, err = m.Target.ImageAt(sid, floor)
-		}
-		if err != nil {
-			return err
-		}
-		peers := m.tailPeers()
-		for _, p := range peers {
-			img.AddBlockPeer(p)
-		}
-		opts := RestoreOpts{
-			Lazy:     !m.Cfg.EagerTail,
-			Prefetch: m.Cfg.Prefetch,
-			Name:     m.Cfg.Name,
-		}
-		group, _, rerr := m.Dst.RestoreImage(img, readTime, opts)
-		if rerr != nil {
-			return rerr
-		}
-		group.mu.Lock()
-		group.generation = gen
-		group.mu.Unlock()
-		if m.DstStore != nil {
-			m.Dst.Attach(group, m.DstStore)
-		}
-		for _, p := range peers {
-			m.Dst.AddRestorePeer(group, p)
-		}
-		ng = group
-		return nil
-	})
-	return ng, err
-}
-
-// tailPeers is the demand-paging peer set for the migrated group: the
-// source store and the receiver always, plus any TailPeers.
-func (m *Migrator) tailPeers() []BlockProvider {
-	var peers []BlockProvider
-	if m.SrcStore != nil {
-		peers = append(peers, m.SrcStore.Store())
-	}
-	if bp, ok := m.Target.(BlockProvider); ok {
-		peers = append(peers, bp)
-	}
-	return append(peers, m.TailPeers...)
-}
-
-// fenceSource marks the source group fenced at gen, adopts the fence
-// into the source store (persisted best-effort), releases the group
-// from the supervisor, and retires its member processes.
+// fenceSource marks the source group fenced at gen, releases it from
+// the supervisor, and adopts the fence into the source store,
+// persisted best-effort.
 func (m *Migrator) fenceSource(gen, floor uint64) {
 	m.G.markFenced(gen, floor)
 	if m.Sup != nil && !m.released {
@@ -570,28 +473,6 @@ func (m *Migrator) fenceSource(gen, floor uint64) {
 		_ = m.SrcStore.Store().Handoff(m.lineage(), gen)
 		_ = m.Src.syncWithReclaim(m.SrcStore)
 	}
-	for _, pid := range m.G.PIDs() {
-		if p, err := m.Src.K.Process(pid); err == nil {
-			m.Src.K.Exit(p, 0)
-			_ = m.Src.K.Reap(p)
-		}
-	}
-	m.Src.Unpersist(m.G)
-}
-
-// teardownDst unwinds a partially restored target group after a
-// failed commit: its members are reaped and the group is unpersisted.
-func (m *Migrator) teardownDst(ng *Group) {
-	if ng == nil {
-		return
-	}
-	for _, pid := range ng.PIDs() {
-		if p, err := m.Dst.K.Process(pid); err == nil {
-			m.Dst.K.Exit(p, 0)
-			_ = m.Dst.K.Reap(p)
-		}
-	}
-	m.Dst.Unpersist(ng)
 }
 
 // abort rolls a failed handover back to the source. If the handover
@@ -605,13 +486,10 @@ func (m *Migrator) abort(cause error, gen uint64, announced bool) error {
 		remint := gen + 1
 		m.G.remint(remint)
 		if m.SrcStore != nil {
-			_ = m.SrcStore.Store().SetPrimary(m.lineage(), remint)
-			_ = m.Src.syncWithReclaim(m.SrcStore)
+			_ = m.Src.claimPrimary(m.SrcStore, m.lineage(), remint)
 		}
-		if m.DstStore != nil {
-			// Best effort: a reachable target store learns it lost.
-			m.DstStore.Store().AdoptFence(m.lineage(), remint)
-		}
+		// Best effort: a reachable target store learns it lost.
+		m.DstStore.Store().AdoptFence(m.lineage(), remint)
 		if m.Sup != nil && m.released {
 			m.Sup.Watch(m.G)
 			m.released = false
@@ -621,8 +499,9 @@ func (m *Migrator) abort(cause error, gen uint64, announced bool) error {
 }
 
 // remint raises the group's generation to gen and clears any fence
-// below it: the rollback path of an aborted handover, where the source
-// re-takes the line above the generation the dead target adopted.
+// below it: the group runs at gen once a handover claims the role for
+// it, or once an aborted handover re-mints the source above the
+// generation the dead target adopted.
 func (g *Group) remint(gen uint64) {
 	g.mu.Lock()
 	if gen > g.generation {
@@ -663,42 +542,25 @@ func (m *Migrator) StandbyRound(workload func() error) error {
 // target's clock. The source group, if its corpse is still reachable,
 // is fenced and released so a supervisor can never resurrect it.
 func (m *Migrator) PromoteStandby() (*MigrateReport, error) {
-	sid := m.sid()
-	floor := m.Target.ContiguousEpoch(sid)
-	if floor == 0 {
-		return nil, m.fail(PhaseHandover, fmt.Errorf("core: standby holds no contiguous epoch for group %d: %w", sid, ErrNoImage))
-	}
-	sw := m.Dst.K.Clock.Watch()
-	newGen := m.mintGen()
-	m.report.Gen = newGen
-	m.report.Floor = floor
-	m.report.PreCopied = floor
-	m.Target.AdoptFence(sid, newGen)
-	if err := m.backfillDst(PhaseHandover); err != nil {
-		return nil, err
-	}
-	ng, err := m.restoreOnDst(floor, newGen, PhaseLazyTail)
+	h, err := m.handover(PhaseHandover)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.claimDst(ng, newGen); err != nil {
-		m.teardownDst(ng)
+	sw := m.Dst.K.Clock.Watch()
+	newGen := h.mint([]uint64{m.G.Generation()}, m.SrcStore)
+	m.report.Gen = newGen
+	m.report.Floor = h.floor
+	m.report.PreCopied = h.floor
+	h.fence()
+	// With no blackout the restore starts the lazy tail at once.
+	if err := m.complete(h, h.floor, PhaseLazyTail); err != nil {
 		return nil, err
 	}
 	m.report.TTR = sw.Elapsed()
-	m.report.Group = ng
+	m.report.Group = h.g
 
 	// Fence whatever is left of the source line.
-	m.G.markFenced(newGen, floor)
-	if m.Sup != nil && !m.released {
-		m.Sup.Release(m.G)
-		m.released = true
-	}
-	if m.SrcStore != nil {
-		m.SrcStore.Store().AdoptFence(sid, newGen)
-		_ = m.SrcStore.Store().Handoff(m.lineage(), newGen)
-		_ = m.Src.syncWithReclaim(m.SrcStore)
-	}
+	m.fenceSource(newGen, h.floor)
 	rep := m.report
 	return &rep, nil
 }

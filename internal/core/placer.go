@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -334,6 +335,19 @@ func (p *Placer) Events() []PlacerEvent {
 	return append([]PlacerEvent(nil), p.events...)
 }
 
+// lineagesLocked lists the lineages whose placement satisfies keep,
+// ascending.
+func (p *Placer) lineagesLocked(keep func(*Placement) bool) []uint64 {
+	var out []uint64
+	for lin, pl := range p.placements {
+		if keep(pl) {
+			out = append(out, lin)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
 // Placements lists every placement, sorted by lineage.
 func (p *Placer) Placements() []*Placement {
 	p.mu.Lock()
@@ -481,20 +495,16 @@ func (p *Placer) placeLocked(name string, start func(*StoreNode) (*Group, error)
 	}
 
 	primary.O.Attach(g, primary.SB)
-	if err := primary.SB.Store().SetPrimary(g.ID, g.Generation()); err != nil {
-		return nil, fmt.Errorf("core: placing %q: claiming primary on %s: %w", name, primary.Name, err)
-	}
 	// Persisting the claim exercises the store's write path; a flaky
 	// (fault-injected) device fails individual publishes without being
 	// dead, so retry a few rolls before giving up on the placement.
-	var syncErr error
 	for attempt := 0; attempt < 8; attempt++ {
-		if syncErr = primary.O.syncWithReclaim(primary.SB); syncErr == nil {
+		if err = primary.O.claimPrimary(primary.SB, g.ID, g.Generation()); err == nil {
 			break
 		}
 	}
-	if syncErr != nil {
-		return nil, fmt.Errorf("core: placing %q: persisting claim on %s: %w", name, primary.Name, syncErr)
+	if err != nil {
+		return nil, fmt.Errorf("core: placing %q: claiming primary on %s: %w", name, primary.Name, err)
 	}
 
 	pl := &Placement{
@@ -593,11 +603,8 @@ func (p *Placer) markDownLocked(n *StoreNode, cause error) []PlacerEvent {
 			}
 			continue
 		}
-		for _, r := range pl.replicas {
-			if r == n {
-				p.repairq = append(p.repairq, lin)
-				break
-			}
+		if slices.Contains(pl.replicas, n) {
+			p.repairq = append(p.repairq, lin)
 		}
 	}
 	// Hot lineages first: a replica caught up to the durable frontier
@@ -616,19 +623,12 @@ func (p *Placer) markDownLocked(n *StoreNode, cause error) []PlacerEvent {
 	return events
 }
 
-// hotLocked reports whether some surviving replica of pl is caught up
-// to the group's durable frontier.
+// hotLocked reports whether the replica a standby promotion of pl
+// would elect is caught up to the group's durable frontier.
 func (p *Placer) hotLocked(pl *Placement) bool {
 	d := pl.g.Durable()
-	for _, r := range pl.replicas {
-		if st := r.State(); st != StoreActive && st != StoreDraining {
-			continue
-		}
-		if src := pl.sources[r]; src != nil && src.ContiguousEpoch(pl.g.ID) >= d {
-			return true
-		}
-	}
-	return false
+	r, floor := p.electStandbyLocked(pl)
+	return r != nil && floor >= d
 }
 
 // processQueuesLocked drains up to EvacConcurrency entries from each
@@ -658,34 +658,13 @@ func (p *Placer) processQueuesLocked() []PlacerEvent {
 }
 
 // evacuateLocked re-homes one lineage whose primary store died:
-// standby promotion on the best surviving replica (highest contiguous
-// floor; ties to the better-scored node), then re-replication back to
-// full strength under anti-affinity.
+// standby promotion on the best surviving replica, then
+// re-replication back to full strength under anti-affinity.
 func (p *Placer) evacuateLocked(pl *Placement) PlacerEvent {
 	from := pl.primary
-	stream := pl.g.ID
 	ev := PlacerEvent{Kind: "evacuated", Lineage: pl.Lineage, From: from.Name}
 
-	// Elect the surviving replica with the highest contiguous floor. A
-	// draining store is a legal standby source — it is alive and may
-	// hold the last good copy; the drain's own migrate-off pass moves
-	// the promoted primary along afterwards.
-	var target *StoreNode
-	var targetFloor uint64
-	for _, r := range pl.replicas {
-		if st := r.State(); st != StoreActive && st != StoreDraining {
-			continue
-		}
-		src := pl.sources[r]
-		if src == nil {
-			continue
-		}
-		floor := src.ContiguousEpoch(stream)
-		if target == nil || floor > targetFloor ||
-			(floor == targetFloor && r.Name < target.Name) {
-			target, targetFloor = r, floor
-		}
-	}
+	target, _ := p.electStandbyLocked(pl)
 	if target == nil {
 		pl.lost = true
 		ev.Kind = "evac-failed"
@@ -698,21 +677,7 @@ func (p *Placer) evacuateLocked(pl *Placement) PlacerEvent {
 	// primary role under the stable lineage key, so the
 	// exactly-one-primary-at-max-gen invariant holds across chained
 	// re-homes. TTR lands on the target machine's own clock lane.
-	mig := &Migrator{
-		Src:      from.O,
-		Dst:      target.O,
-		G:        pl.g,
-		Target:   pl.sources[target],
-		SrcStore: from.SB,
-		DstStore: target.SB,
-		Sup:      from.Sup,
-		Cfg: MigratorConfig{
-			Lineage: pl.Lineage,
-			Name:    pl.Name,
-			Retries: p.cfg.Retries,
-		},
-	}
-	rep, err := mig.PromoteStandby()
+	rep, err := p.migrator(pl, from, target, pl.sources[target]).PromoteStandby()
 	if err != nil {
 		// Leave the lineage marked evacuating; a later Poll may have
 		// better luck (the target could have been mid-fault).
@@ -721,30 +686,8 @@ func (p *Placer) evacuateLocked(pl *Placement) PlacerEvent {
 		ev.Err = err
 		return ev
 	}
-
-	// Tear down the dead primary's wiring.
-	for _, r := range pl.replicas {
-		p.links.Drop(from, r, stream)
-	}
-	survivors := make([]*StoreNode, 0, len(pl.replicas))
-	for _, r := range pl.replicas {
-		if r != target && r.State() == StoreActive {
-			survivors = append(survivors, r)
-		}
-	}
-	pl.primary = target
-	pl.g = rep.Group
-	pl.replicas = nil
-	pl.sources = make(map[*StoreNode]ReplicaSource)
-	pl.wires = make(map[*StoreNode]Backend)
 	pl.evacuating = false
-
-	// Re-replicate to full strength: surviving members first (their
-	// domains are anti-affine by construction), fresh nodes for the
-	// rest. The new stream starts empty everywhere, so the first
-	// checkpoint below is full — that is what makes the new replicas
-	// restorable on their own.
-	if err := p.rewireLocked(pl, survivors); err != nil {
+	if err := p.rehomeLocked(pl, from, target, rep.Group); err != nil {
 		ev.Err = err
 	}
 	if target.Sup != nil {
@@ -755,6 +698,72 @@ func (p *Placer) evacuateLocked(pl *Placement) PlacerEvent {
 	ev.Floor = rep.Floor
 	ev.TTR = rep.TTR
 	return ev
+}
+
+// migrator wires a Migrator moving pl from one node to another over
+// the receiver view on the target.
+func (p *Placer) migrator(pl *Placement, from, to *StoreNode, view ReplicaSource) *Migrator {
+	return &Migrator{
+		Src:      from.O,
+		Dst:      to.O,
+		G:        pl.g,
+		Target:   view,
+		SrcStore: from.SB,
+		DstStore: to.SB,
+		Sup:      from.Sup,
+		Cfg: MigratorConfig{
+			MaxRounds: p.cfg.migrateRounds(),
+			Lineage:   pl.Lineage,
+			Name:      pl.Name,
+			Retries:   p.cfg.Retries,
+		},
+	}
+}
+
+// rehomeLocked points pl at its new primary node to, running g, after
+// a move off from: from's wires are dropped and the replica set is
+// rebuilt to full strength, surviving active members first (their
+// domains are anti-affine by construction) and fresh nodes for the
+// rest. The new stream starts empty everywhere, so the seeding
+// checkpoint is full — that is what makes the new replicas restorable
+// on their own.
+func (p *Placer) rehomeLocked(pl *Placement, from, to *StoreNode, g *Group) error {
+	survivors := make([]*StoreNode, 0, len(pl.replicas))
+	for _, r := range pl.replicas {
+		p.links.Drop(from, r, pl.g.ID)
+		if r != to && r.State() == StoreActive {
+			survivors = append(survivors, r)
+		}
+	}
+	pl.primary, pl.g, pl.replicas = to, g, nil
+	pl.sources = make(map[*StoreNode]ReplicaSource)
+	pl.wires = make(map[*StoreNode]Backend)
+	return p.rewireLocked(pl, survivors)
+}
+
+// electStandbyLocked runs the handover's election over pl's replicas
+// with a receiver view on a live store, in name order: the highest
+// contiguous floor wins, equal floors go to the lowest name. A
+// draining store is a legal standby source — it is alive and may hold
+// the last good copy; the drain's own migrate-off pass moves the
+// promoted primary along afterwards. Returns the elected node (nil when
+// no replica qualifies) and its floor.
+func (p *Placer) electStandbyLocked(pl *Placement) (*StoreNode, uint64) {
+	var standbys []*StoreNode
+	for _, r := range pl.replicas {
+		if st := r.State(); (st == StoreActive || st == StoreDraining) && pl.sources[r] != nil {
+			standbys = append(standbys, r)
+		}
+	}
+	sort.Slice(standbys, func(i, j int) bool { return standbys[i].Name < standbys[j].Name })
+	srcs := make([]ReplicaSource, len(standbys))
+	for i, r := range standbys {
+		srcs[i] = pl.sources[r]
+	}
+	if i, floor := electFloor(srcs, pl.g.ID); i >= 0 {
+		return standbys[i], floor
+	}
+	return nil, 0
 }
 
 // repairLocked restores a placement's replication factor after a
@@ -787,13 +796,7 @@ func (p *Placer) repairLocked(pl *Placement) (PlacerEvent, bool) {
 	ev := PlacerEvent{Kind: "repaired", Lineage: pl.Lineage, From: pl.primary.Name, To: pl.primary.Name}
 	pl.replicas = nil
 	for n := range pl.sources {
-		keep := false
-		for _, s := range survivors {
-			if s == n {
-				keep = true
-			}
-		}
-		if !keep {
+		if !slices.Contains(survivors, n) {
 			delete(pl.sources, n)
 			if w := pl.wires[n]; w != nil {
 				_ = pl.primary.O.Detach(pl.g, w.Name())
@@ -989,14 +992,9 @@ func (p *Placer) drainStepLocked(n *StoreNode, budget int) ([]PlacerEvent, bool,
 	}
 
 	moved := 0
-	var lins []uint64
-	for lin, pl := range p.placements {
-		if pl.primary == n && !pl.lost && !pl.evacuating {
-			lins = append(lins, lin)
-		}
-	}
-	sort.Slice(lins, func(i, j int) bool { return lins[i] < lins[j] })
-	for _, lin := range lins {
+	for _, lin := range p.lineagesLocked(func(pl *Placement) bool {
+		return pl.primary == n && !pl.lost && !pl.evacuating
+	}) {
 		if moved >= budget {
 			return out, false, nil
 		}
@@ -1008,17 +1006,7 @@ func (p *Placer) drainStepLocked(n *StoreNode, budget int) ([]PlacerEvent, bool,
 		}
 	}
 	// Re-home replica roles parked on the draining store.
-	lins = lins[:0]
-	for lin, pl := range p.placements {
-		for _, r := range pl.replicas {
-			if r == n {
-				lins = append(lins, lin)
-				break
-			}
-		}
-	}
-	sort.Slice(lins, func(i, j int) bool { return lins[i] < lins[j] })
-	for _, lin := range lins {
+	for _, lin := range p.lineagesLocked(func(pl *Placement) bool { return slices.Contains(pl.replicas, n) }) {
 		if moved >= budget {
 			return out, false, nil
 		}
@@ -1054,16 +1042,8 @@ func (p *Placer) Undrain(n *StoreNode) error {
 	n.mu.Unlock()
 
 	var firstErr error
-	var lins []uint64
-	for lin := range p.placements {
-		lins = append(lins, lin)
-	}
-	sort.Slice(lins, func(i, j int) bool { return lins[i] < lins[j] })
-	for _, lin := range lins {
+	for _, lin := range p.lineagesLocked(func(pl *Placement) bool { return !pl.lost && !pl.evacuating }) {
 		pl := p.placements[lin]
-		if pl.lost || pl.evacuating {
-			continue
-		}
 		if pl.primary == n {
 			for _, r := range pl.replicas {
 				if st := r.State(); st != StoreActive && st != StoreDraining {
@@ -1180,32 +1160,18 @@ func (p *Placer) migrateOffLocked(pl *Placement, n *StoreNode) (PlacerEvent, err
 		ev.Err = err
 		return ev, err
 	}
-	mig := &Migrator{
-		Src:      n.O,
-		Dst:      dst.O,
-		G:        pl.g,
-		Link:     b,
-		Target:   view,
-		SrcStore: n.SB,
-		DstStore: dst.SB,
-		Sup:      n.Sup,
-		Reconnect: func() error {
-			// A pre-copy round syncs through every attached backend, so
-			// a transiently faulted replica wire stalls the migration as
-			// surely as the migration wire itself — heal them all.
-			for _, r := range pl.replicas {
-				if r.State() == StoreActive || r.State() == StoreDraining {
-					_ = p.links.Reconnect(n, r, stream)
-				}
+	mig := p.migrator(pl, n, dst, view)
+	mig.Link = b
+	mig.Reconnect = func() error {
+		// A pre-copy round syncs through every attached backend, so a
+		// transiently faulted replica wire stalls the migration as
+		// surely as the migration wire itself — heal them all.
+		for _, r := range pl.replicas {
+			if r.State() == StoreActive || r.State() == StoreDraining {
+				_ = p.links.Reconnect(n, r, stream)
 			}
-			return p.links.Reconnect(n, dst, stream)
-		},
-		Cfg: MigratorConfig{
-			MaxRounds: p.cfg.migrateRounds(),
-			Lineage:   pl.Lineage,
-			Name:      pl.Name,
-			Retries:   p.cfg.Retries,
-		},
+		}
+		return p.links.Reconnect(n, dst, stream)
 	}
 	rep, err := mig.Run(func() error { return nil })
 	if err != nil {
@@ -1218,19 +1184,7 @@ func (p *Placer) migrateOffLocked(pl *Placement, n *StoreNode) (PlacerEvent, err
 		return ev, err
 	}
 	p.links.Drop(n, dst, stream)
-	survivors := make([]*StoreNode, 0, len(pl.replicas))
-	for _, r := range pl.replicas {
-		p.links.Drop(n, r, stream)
-		if r != dst && r.State() == StoreActive {
-			survivors = append(survivors, r)
-		}
-	}
-	pl.primary = dst
-	pl.g = rep.Group
-	pl.replicas = nil
-	pl.sources = make(map[*StoreNode]ReplicaSource)
-	pl.wires = make(map[*StoreNode]Backend)
-	if err := p.rewireLocked(pl, survivors); err != nil {
+	if err := p.rehomeLocked(pl, n, dst, rep.Group); err != nil {
 		ev.Err = err
 		return ev, err
 	}

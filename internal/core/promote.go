@@ -3,25 +3,18 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"aurora/internal/objstore"
 )
 
-// This file implements replica promotion: turning a netback replica
-// into the primary store when the primary is declared permanently
-// dead. The protocol rests on the store generation (fencing token):
-//
-//  1. the replica's contiguous-epoch floor becomes the new durable
-//     line — epochs beyond a gap were never acknowledged as a chain
-//     and are quarantined as divergent;
-//  2. the promotion mints generation = (highest witnessed) + 1,
-//     persists it in the new primary store's superblock, and raises
-//     the replica-side fence, so
-//  3. a returning stale primary — still stamping the old generation —
-//     has every flush rejected (ErrStaleGeneration), is marked fenced,
-//     refuses further checkpoints, and is demoted to catch-up resync
-//     with its divergent epochs quarantined via the PR 3 machinery.
+// This file implements replica promotion: turning a replica into the
+// primary store when the primary is declared permanently dead, through
+// the handover (handover.go). A returning stale primary, still stamping
+// the old generation, has every flush rejected (ErrStaleGeneration),
+// is marked fenced, refuses further checkpoints, and is demoted to
+// catch-up resync with its divergent epochs quarantined.
 
 // ErrStaleGeneration is the fencing rejection: a flush stamped with a
 // store generation behind the lineage's fence. It is the same value
@@ -101,153 +94,63 @@ type PromoteReport struct {
 	Floor       uint64        // the contiguous floor that became the durable line
 	Quarantined []uint64      // divergent epochs beyond the floor
 	Backfilled  int           // epochs copied into the new primary store
-	Elected     int           // index of the elected replica (PromoteQuorum)
-	Repaired    int           // epochs read-repaired onto lagging minority replicas
+	Elected     int           // index of the elected replica
+	Repaired    int           // epochs read-repaired onto lagging replicas
 	TTR         time.Duration // modeled time to recovery (virtual clock)
 }
 
-// Promote turns a replica into the primary store for a lineage: the
-// replica's contiguous-epoch floor becomes the new durable line, its
-// history is backfilled into primary (the store that will anchor the
-// promoted group) in epoch order, divergent epochs beyond the floor
-// are quarantined, the fence advances to a freshly minted generation
-// on both the replica and the store — persisted through the store's
-// superblock — and the floor image is restored as a new group that
-// resumes execution at the promoted generation.
-func (o *Orchestrator) Promote(src ReplicaSource, lineage uint64, primary *StoreBackend, opts RestoreOpts) (*PromoteReport, error) {
-	return o.promoteFrom(src, lineage, primary, opts, src.FenceGen(lineage)+1)
-}
-
-// promoteFrom is Promote with the new generation chosen by the caller:
-// a quorum election mints it above the highest fence witnessed by ANY
-// member, not just the elected one, so a fence adopted only by a
-// minority still cannot outrank the promoted line.
-func (o *Orchestrator) promoteFrom(src ReplicaSource, lineage uint64, primary *StoreBackend, opts RestoreOpts, newGen uint64) (*PromoteReport, error) {
-	clock := o.K.Clock
-	start := clock.Now()
-
-	floor := src.ContiguousEpoch(lineage)
-	if floor == 0 {
-		return nil, fmt.Errorf("core: promoting lineage %d: replica holds no contiguous epoch: %w", lineage, ErrNoImage)
+// Promote turns a replica set into the primary store for a lineage
+// (a single replica is a set of one): the handover onto primary
+// restores the elected member's floor image as a new group. Promote
+// keeps two decisions of its own: the elected member's epochs beyond
+// the floor are quarantined as divergent, and lagging members are
+// read-repaired with the epochs up to the floor they lack, so a later
+// restore from any member is bit-identical.
+func (o *Orchestrator) Promote(srcs []ReplicaSource, lineage uint64, primary *StoreBackend, opts RestoreOpts) (*PromoteReport, error) {
+	start := o.K.Clock.Now()
+	fail := func(err error) (*PromoteReport, error) {
+		return nil, fmt.Errorf("core: promoting lineage %d: %w", lineage, err)
 	}
-	epochs := src.ReplicaEpochs(lineage)
-
-	// Backfill the contiguous history into the new primary store in
-	// epoch order, before the fence moves (the images still carry
-	// their original generations, which the store adopts as it goes).
-	backfilled := 0
-	var divergent []uint64
-	for _, ep := range epochs {
-		if ep > floor {
-			divergent = append(divergent, ep)
-			continue
-		}
-		img, err := src.ImageAt(lineage, ep)
-		if err != nil {
-			return nil, fmt.Errorf("core: promoting lineage %d: reading epoch %d: %w", lineage, ep, err)
-		}
-		if primary != nil {
-			if _, err := primary.Flush(img); err != nil {
-				return nil, fmt.Errorf("core: promoting lineage %d: backfilling epoch %d: %w", lineage, ep, err)
-			}
-			backfilled++
-		}
+	h := &handover{o: o, dst: primary, lineage: lineage, stream: lineage, cands: srcs, retry: once}
+	if err := h.elect(); err != nil {
+		return fail(err)
 	}
-
-	// Fence the old line on the replica: a stale primary reconnecting
-	// after this point has its deltas rejected.
-	src.AdoptFence(lineage, newGen)
-
-	// Restore the floor image as the promoted group.
-	img, err := src.ImageAt(lineage, floor)
-	if err != nil {
-		return nil, fmt.Errorf("core: promoting lineage %d: floor epoch %d: %w", lineage, floor, err)
+	h.mint(nil)
+	h.fence()
+	if err := h.backfill(); err != nil {
+		return fail(fmt.Errorf("backfilling: %w", err))
 	}
-	ng, _, err := o.RestoreImage(img, 0, opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: promoting lineage %d: restoring floor epoch %d: %w", lineage, floor, err)
+	src := srcs[h.elected]
+	if err := h.restore(once, func() (*Image, time.Duration, error) {
+		img, err := src.ImageAt(lineage, h.floor)
+		return img, 0, err
+	}, opts, nil); err != nil {
+		return fail(fmt.Errorf("restoring floor epoch %d: %w", h.floor, err))
 	}
-	ng.mu.Lock()
-	ng.generation = newGen
-	ng.mu.Unlock()
-
-	if primary != nil {
-		o.Attach(ng, primary)
-		// Divergent epochs can never join the promoted line: poison
-		// them durably via the quarantine machinery.
-		for _, ep := range divergent {
-			o.quarantineEpoch(ng, primary, lineage, ep,
-				fmt.Errorf("divergent: beyond promotion floor %d at generation %d", floor, newGen))
-		}
-		// Claim the primary role and persist the fence — the
-		// generation lives in the store's superblock from here on.
-		if err := primary.Store().SetPrimary(lineage, newGen); err != nil {
-			return nil, fmt.Errorf("core: promoting lineage %d: %w", lineage, err)
-		}
-		if err := o.syncWithReclaim(primary); err != nil {
-			return nil, fmt.Errorf("core: promoting lineage %d: persisting fence: %w", lineage, err)
-		}
+	for _, ep := range h.divergent {
+		o.quarantineEpoch(h.g, primary, lineage, ep,
+			fmt.Errorf("divergent: beyond promotion floor %d at generation %d", h.floor, h.gen))
 	}
-
-	return &PromoteReport{
-		Group:       ng,
-		Gen:         newGen,
-		Floor:       floor,
-		Quarantined: divergent,
-		Backfilled:  backfilled,
-		TTR:         clock.Now() - start,
-	}, nil
-}
-
-// PromoteQuorum promotes from a replica set: the member with the
-// highest contiguous acked floor is elected (ties break to the lowest
-// index — election is deterministic), the new generation is minted
-// above the highest fence any member has witnessed, every member
-// adopts the fence (so the stale primary is rejected no matter which
-// replica it reaches), and lagging members are read-repaired: every
-// epoch at or below the promotion floor the elected member holds and
-// they lack is backfilled into their chains, making a post-promotion
-// restore from any member bit-identical.
-func (o *Orchestrator) PromoteQuorum(srcs []ReplicaSource, lineage uint64, primary *StoreBackend, opts RestoreOpts) (*PromoteReport, error) {
-	if len(srcs) == 0 {
-		return nil, fmt.Errorf("core: promoting lineage %d: empty replica set: %w", lineage, ErrNoImage)
+	if err := h.claim(h.g); err != nil {
+		return fail(fmt.Errorf("persisting fence: %w", err))
 	}
-	elected := 0
+	rep := &PromoteReport{
+		Group:       h.g,
+		Gen:         h.gen,
+		Floor:       h.floor,
+		Quarantined: h.divergent,
+		Backfilled:  h.backfilled,
+		Elected:     h.elected,
+		TTR:         o.K.Clock.Now() - start,
+	}
 	for i, s := range srcs {
-		if s.ContiguousEpoch(lineage) > srcs[elected].ContiguousEpoch(lineage) {
-			elected = i
-		}
-	}
-	var newGen uint64
-	for _, s := range srcs {
-		if fg := s.FenceGen(lineage); fg > newGen {
-			newGen = fg
-		}
-	}
-	newGen++
-	rep, err := o.promoteFrom(srcs[elected], lineage, primary, opts, newGen)
-	if err != nil {
-		return nil, err
-	}
-	rep.Elected = elected
-	for i, s := range srcs {
-		if i == elected {
-			continue
-		}
-		s.AdoptFence(lineage, newGen)
 		rt, ok := s.(ReplicaRepairTarget)
-		if !ok {
+		if i == h.elected || !ok {
 			continue
 		}
-		have := make(map[uint64]bool)
-		for _, ep := range s.ReplicaEpochs(lineage) {
-			have[ep] = true
-		}
-		for _, ep := range srcs[elected].ReplicaEpochs(lineage) {
-			if ep > rep.Floor || have[ep] {
-				continue
-			}
-			img, err := srcs[elected].ImageAt(lineage, ep)
+		lack, _ := missing(src.ReplicaEpochs(lineage), s.ReplicaEpochs(lineage), h.floor)
+		for _, ep := range lack {
+			img, err := src.ImageAt(lineage, ep)
 			if err != nil {
 				return rep, fmt.Errorf("core: promoting lineage %d: read-repair epoch %d: %w", lineage, ep, err)
 			}
@@ -261,7 +164,8 @@ func (o *Orchestrator) PromoteQuorum(srcs []ReplicaSource, lineage uint64, prima
 // PromoteBackend moves the primary role to another attached store
 // backend of a running group (`sls promote`): the in-machine flavor
 // of promotion, for when the primary store device is permanently
-// dead but the processes survived. It refuses with ErrPrimaryHealthy
+// dead but the processes survived. Nothing is restored, so only the
+// handover's mint and claim run. It refuses with ErrPrimaryHealthy
 // unless the current primary is down, and with ErrStaleGeneration if
 // the group itself has been fenced by a promotion elsewhere.
 func (o *Orchestrator) PromoteBackend(g *Group, name string) (*PromoteReport, error) {
@@ -285,51 +189,37 @@ func (o *Orchestrator) PromoteBackend(g *Group, name string) (*PromoteReport, er
 		return nil, fmt.Errorf("core: backend %q not attached or not store-backed", name)
 	}
 	lineage := g.ID
+	if len(others) == 0 {
+		return nil, fmt.Errorf("core: %q is the only durable backend: %w", name, ErrPrimaryHealthy)
+	}
 	// The current primary: the store claiming the role, else the
 	// first other non-ephemeral backend in attach order. Promotion is
 	// only legal once it is down.
-	var current Backend
-	for _, b := range others {
-		if sb, ok := b.(*StoreBackend); ok {
-			if _, primary := sb.Store().PrimaryGen(lineage); primary {
-				current = b
-				break
-			}
+	current := others[max(0, slices.IndexFunc(others, func(b Backend) bool {
+		sb, ok := b.(*StoreBackend)
+		if ok {
+			_, ok = sb.Store().PrimaryGen(lineage)
 		}
-	}
-	if current == nil && len(others) > 0 {
-		current = others[0]
-	}
-	if current == nil {
-		return nil, fmt.Errorf("core: %q is the only durable backend: %w", name, ErrPrimaryHealthy)
-	}
-	h := g.healthOf(current)
+		return ok
+	}))]
+	health := g.healthOf(current)
 	g.healthMu.Lock()
-	state := h.state
+	state := health.state
 	g.healthMu.Unlock()
 	if state != BackendDown {
 		return nil, fmt.Errorf("core: primary %s is %s: %w", current.Name(), state, ErrPrimaryHealthy)
 	}
 
-	clock := o.K.Clock
-	start := clock.Now()
-	newGen := g.Generation() + 1
-	if fg := target.Store().FenceGen(lineage); fg >= newGen {
-		newGen = fg + 1
-	}
-	if err := target.Store().SetPrimary(lineage, newGen); err != nil {
+	start := o.K.Clock.Now()
+	h := &handover{o: o, dst: target, lineage: lineage, stream: lineage, retry: once}
+	h.mint([]uint64{g.Generation()})
+	if err := h.claim(g); err != nil {
 		return nil, fmt.Errorf("core: promoting %s: %w", name, err)
 	}
-	if err := o.syncWithReclaim(target); err != nil {
-		return nil, fmt.Errorf("core: promoting %s: persisting fence: %w", name, err)
-	}
-	g.mu.Lock()
-	g.generation = newGen
-	g.mu.Unlock()
 	return &PromoteReport{
-		Gen:   newGen,
+		Gen:   h.gen,
 		Floor: g.Durable(),
-		TTR:   clock.Now() - start,
+		TTR:   o.K.Clock.Now() - start,
 	}, nil
 }
 

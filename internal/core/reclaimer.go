@@ -97,7 +97,8 @@ type ReclaimStats struct {
 // with StoreBackend.SetReclaimer; the flush pipeline pokes it at every
 // epoch retirement (StoreBackend.Trim) and the checkpoint path
 // consults it for admission control. All reclamation runs single
-// flight: concurrent pokes coalesce into one scan.
+// flight: concurrent pokes coalesce into one scan, and an emergency
+// waits for the running scan and then runs its own pass.
 type Reclaimer struct {
 	o  *Orchestrator
 	sb *StoreBackend
@@ -110,9 +111,9 @@ type Reclaimer struct {
 	// aborts the scan and surfaces in Stats.
 	Audit func(*objstore.Store) error
 
-	mu       sync.Mutex
-	scanning bool
-	stats    ReclaimStats
+	scanMu sync.Mutex // held by the running scan
+	mu     sync.Mutex
+	stats  ReclaimStats
 }
 
 // NewReclaimer builds a reclaimer for sb with zero-values replaced by
@@ -179,26 +180,24 @@ func (r *Reclaimer) Scan() int64 { return r.scan(false) }
 // Emergency is the ENOSPC path: reclaim with retention floors forced
 // down to one epoch per lineage, regardless of the computed usage
 // fraction (an injected full device can reject writes below any
-// watermark). Returns bytes freed.
+// watermark). It never coalesces: a scan already running is waited
+// out, since its watermark pass may stop short of what the failed
+// write needs. Returns bytes freed.
 func (r *Reclaimer) Emergency() int64 { return r.scan(true) }
 
 func (r *Reclaimer) scan(emergency bool) int64 {
-	r.mu.Lock()
-	if r.scanning {
+	if emergency {
+		r.mu.Lock()
+		r.stats.EmergencyScans++
 		r.mu.Unlock()
+		r.scanMu.Lock()
+	} else if !r.scanMu.TryLock() {
 		return 0
 	}
-	r.scanning = true
+	defer r.scanMu.Unlock()
+	r.mu.Lock()
 	r.stats.Scans++
-	if emergency {
-		r.stats.EmergencyScans++
-	}
 	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		r.scanning = false
-		r.mu.Unlock()
-	}()
 
 	usedBefore, capacity, frac := r.sb.store.Usage()
 	var level PressureLevel

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -359,5 +361,54 @@ func TestSyncWithReclaimRetries(t *testing.T) {
 	r.fd.Up()
 	if err := r.o.syncWithReclaim(r.store); err != nil {
 		t.Fatalf("sync after recovery: %v", err)
+	}
+}
+
+// TestReclaimerEmergencyWaitsForRunningScan: an emergency pass that
+// arrives while a watermark scan is mid-drop must not be swallowed by
+// the scan's single-flight guard. It waits the scan out, then runs its
+// own keep-1 pass and frees space; returning 0 at once would make a
+// flush (or a handover claim) give up with ErrOutOfSpace.
+func TestReclaimerEmergencyWaitsForRunningScan(t *testing.T) {
+	r := newSpaceRig(t, 512<<20, RetentionPolicy{KeepLast: 2},
+		Watermarks{Low: 1e-9, High: 2e-9, Emergency: 3e-9})
+	// Build history with no reclaimer attached, so the only scans are
+	// the two this test starts.
+	r.store.SetReclaimer(nil)
+	g := r.spawnGroup(t)
+	for i := 0; i < 6; i++ {
+		r.ckpt(t, g, CheckpointOpts{})
+	}
+
+	reached, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	r.rec.Audit = func(s *objstore.Store) error {
+		once.Do(func() {
+			close(reached)
+			<-release
+		})
+		return s.AuditReachability()
+	}
+	scanDone := make(chan int64, 1)
+	go func() { scanDone <- r.rec.Scan() }()
+	<-reached
+
+	before := r.rec.Stats().EmergencyScans
+	emDone := make(chan int64, 1)
+	go func() { emDone <- r.rec.Emergency() }()
+	// Release the scan once the emergency is waiting on it — or once
+	// the emergency has already given up.
+	for r.rec.Stats().EmergencyScans == before && len(emDone) == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	if freed := <-scanDone; freed <= 0 {
+		t.Fatalf("watermark scan freed %d bytes, want > 0", freed)
+	}
+	if freed := <-emDone; freed <= 0 {
+		t.Fatalf("emergency during a running scan freed %d bytes, want > 0", freed)
+	}
+	if got := r.rec.Stats().EmergencyScans; got != before+1 {
+		t.Fatalf("EmergencyScans = %d, want %d", got, before+1)
 	}
 }

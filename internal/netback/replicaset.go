@@ -136,7 +136,7 @@ func (rs *ReplicaSet) Lagging(group uint64, maxLag uint64) error {
 
 // Sources returns the members' receivers as promotion sources, in
 // registration order (members without an in-machine receiver are
-// skipped). Feed this to core.PromoteQuorum.
+// skipped). Feed this to core.Promote.
 func (rs *ReplicaSet) Sources() []core.ReplicaSource {
 	var out []core.ReplicaSource
 	for _, l := range rs.Links() {

@@ -9,8 +9,11 @@ import "fmt"
 // free-list entry may alias a live block or appear twice. The chaos and
 // space harnesses run this after every reclamation — a refcount drift
 // here is how merge-forward GC bugs first become visible, long before
-// they corrupt a restore.
+// they corrupt a restore. It waits for record puts in flight to
+// finish, so the references they hold are checked once registered.
 func (s *Store) AuditReachability() error {
+	s.putMu.Lock()
+	defer s.putMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 

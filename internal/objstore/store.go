@@ -164,8 +164,13 @@ type blockEntry struct {
 // storeCore is the shared index state behind a Store and all of its
 // clock-redirected views: one set of records, blocks, and locks.
 type storeCore struct {
-	mu       sync.Mutex
-	syncMu   sync.Mutex // serializes Sync's write-index/publish protocol
+	mu     sync.Mutex
+	syncMu sync.Mutex // serializes Sync's write-index/publish protocol
+	// putMu is held shared by every record put and exclusively by
+	// AuditReachability: the block references a put takes belong to no
+	// record until the put registers it, so an audit must not see them
+	// half done.
+	putMu    sync.RWMutex
 	nextOff  int64
 	freeList []int64 // freed block offsets, reusable in place
 	// trimmedFree splits freeList: entries [0:trimmedFree) have been
@@ -741,6 +746,8 @@ func (s *Store) PutRecordMixed(group, oid, epoch uint64, kind uint16, full bool,
 }
 
 func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages map[int64][]byte, refs map[int64]BlockRef, heat map[int64]uint32) (*Record, error) {
+	s.putMu.RLock()
+	defer s.putMu.RUnlock()
 	rec := &Record{
 		Group: group,
 		OID:   oid,
